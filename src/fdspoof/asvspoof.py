@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -149,15 +149,7 @@ def _record_matrix(
                 f"need {cepstral_cfg.frame_len}"
             )
         buffer = segmentation.extract(buffer, view)
-    cfg = CepstralConfig(
-        frame_len=cepstral_cfg.frame_len,
-        hop=hop_for_segment(kind, cepstral_cfg),
-        n_filters=cepstral_cfg.n_filters,
-        coeff_lo=cepstral_cfg.coeff_lo,
-        coeff_hi=cepstral_cfg.coeff_hi,
-        sample_rate=cepstral_cfg.sample_rate,
-    )
-    return cepstral.mfcc(buffer, cfg)
+    return cepstral.mfcc(buffer, replace(cepstral_cfg, hop=hop_for_segment(kind, cepstral_cfg)))
 
 
 _SKIPPABLE = (EmptySignal, TooShort, InsufficientData, InsufficientDigits)
@@ -252,17 +244,37 @@ def write_feature_csv(path: str | Path, dataset: LabeledDataset,
 
 
 def read_feature_csv(path: str | Path) -> tuple[LabeledDataset, tuple[FeatureDescriptor, ...]]:
+    """Read a feature CSV; ParseError, with file:line, on an unparsable column
+    name, a ragged row, a label outside {0, 1} or a non-finite value."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        layout = tuple(fd_features.parse_feature_name(name) for name in header[3:])
-        ids, labels, systems, rows = [], [], [], []
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}:1: empty feature file")
+        try:
+            layout = tuple(fd_features.parse_feature_name(name) for name in header[3:])
+        except ValueError as exc:
+            raise ParseError(f"{path}:1: {exc}") from None
+        ids, labels, systems, rows, lines = [], [], [], [], []
         for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise ParseError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            try:
+                label = int(row[1])
+                rows.append([float(v) for v in row[3:]])
+            except ValueError as exc:
+                raise ParseError(f"{where}: {exc}") from None
+            if label not in (0, 1):
+                raise ParseError(f"{where}: label must be 0 or 1, got {label}")
             ids.append(row[0])
-            labels.append(int(row[1]))
+            labels.append(label)
             systems.append(row[2])
-            rows.append([float(v) for v in row[3:]])
+            lines.append(reader.line_num)
     features = np.array(rows) if rows else np.zeros((0, len(layout)))
+    bad = np.nonzero(~np.isfinite(features).all(axis=1))[0]
+    if bad.size:
+        raise ParseError(f"{path}:{lines[bad[0]]}: non-finite feature value")
     dataset = LabeledDataset(
         features=features,
         labels=np.array(labels, dtype=np.int64),

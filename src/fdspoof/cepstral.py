@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .exceptions import InsufficientData
+from .exceptions import InsufficientData, SettingError
 
 ENERGY_FLOOR = 1e-10
 
@@ -32,11 +32,11 @@ class CepstralConfig:
 
     def __post_init__(self) -> None:
         if not (0 < self.hop <= self.frame_len):
-            raise ValueError("hop must be in (0, frame_len]")
+            raise SettingError("hop must be in (0, frame_len]")
         if self.frame_len & (self.frame_len - 1):
-            raise ValueError("frame_len must be a power of two")
+            raise SettingError("frame_len must be a power of two")
         if not (1 <= self.coeff_lo <= self.coeff_hi <= self.n_filters):
-            raise ValueError("coefficient selection out of range")
+            raise SettingError("coefficient selection out of range")
 
     @property
     def frequencies(self) -> tuple[int, ...]:

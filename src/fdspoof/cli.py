@@ -16,14 +16,21 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__, asvspoof, audio_io, firsim, segmentation
 from .cepstral import CepstralConfig
-from .exceptions import FdspoofError, LayoutMismatch
+from .exceptions import FdspoofError, LayoutMismatch, SettingError
 from .fd_features import FdConfig, feature_layout
-from .forest import ForestConfig, default_grid, grid_search, load_model, save_model
+from .forest import (
+    CRITERIA,
+    DEFAULT_GRID_TREES,
+    ForestConfig,
+    grid_search,
+    load_model,
+    save_model,
+)
 from .segmentation import EnergyConfig, SegmentKind
 
 EXIT_OK = 0
@@ -55,20 +62,13 @@ def _sha256(path: Path) -> str:
 
 def write_manifest(out_path: Path, command: str, config: dict,
                    inputs: list[Path], seed: int | None = None) -> None:
-    manifest = RunManifest(
+    doc = asdict(RunManifest(
         command=command,
         version=__version__,
         seed=seed,
         config=config,
         input_hashes={str(p): _sha256(p) for p in inputs},
-    )
-    doc = {
-        "command": manifest.command,
-        "version": manifest.version,
-        "seed": manifest.seed,
-        "config": manifest.config,
-        "input_hashes": manifest.input_hashes,
-    }
+    ))
     Path(str(out_path) + ".manifest.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n"
     )
@@ -105,17 +105,23 @@ _SETTINGS = {
 
 
 def resolve_settings(args: argparse.Namespace) -> dict:
-    """flags > config file > defaults, returning plain python values."""
+    """flags > config file > defaults, returning plain python values.
+
+    SettingError if a flag or config-file value does not parse.
+    """
     file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
     resolved = {}
     for name, (parse, default) in _SETTINGS.items():
         flag = getattr(args, name, None)
-        if flag is not None:
-            resolved[name] = parse(flag) if isinstance(flag, str) else flag
-        elif name in file_values:
-            resolved[name] = parse(file_values[name])
-        else:
-            resolved[name] = default
+        try:
+            if flag is not None:
+                resolved[name] = parse(flag) if isinstance(flag, str) else flag
+            elif name in file_values:
+                resolved[name] = parse(file_values[name])
+            else:
+                resolved[name] = default
+        except ValueError as exc:
+            raise SettingError(f"{name}: {exc}") from None
     return resolved
 
 
@@ -161,8 +167,7 @@ def cmd_extract(args) -> int:
     Path(str(out) + ".meta.txt").write_text(
         "".join(f"{k}={v}\n" for k, v in sorted(meta.items()))
     )
-    write_manifest(out, "extract", {**meta, "jobs": args.jobs},
-                   [Path(args.protocol)], seed=args.balance_seed)
+    write_manifest(out, "extract", meta, [Path(args.protocol)], seed=args.balance_seed)
     print(f"extract: {dataset.n_records} records, {len(skips)} skipped -> {out}")
     return EXIT_OK
 
@@ -170,13 +175,8 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     train_ds, _ = asvspoof.read_feature_csv(args.train_features)
     dev_ds, _ = asvspoof.read_feature_csv(args.dev_features)
-    if args.n_trees or args.criterion:
-        trees = args.n_trees or [10, 100, 500, 1000]
-        criteria = args.criterion or ["gini", "entropy"]
-        grid = [ForestConfig(n_trees=n, criterion=c, seed=args.seed)
-                for n in trees for c in criteria]
-    else:
-        grid = default_grid(args.seed)
+    grid = [ForestConfig(n_trees=n, criterion=c, seed=args.seed)
+            for n in args.n_trees or DEFAULT_GRID_TREES for c in args.criterion or CRITERIA]
     model, report = grid_search(train_ds, dev_ds, grid, seed=args.seed)
     out = Path(args.model_out)
     save_model(model, out)
@@ -260,7 +260,7 @@ def cmd_simulate(args) -> int:
     write_manifest(Path(args.out), "simulate",
                    {"nc_list": args.nc_list, "deltas": args.deltas,
                     "frequencies": args.frequencies, "trials": args.trials,
-                    "signal_len": args.signal_len, "jobs": args.jobs},
+                    "signal_len": args.signal_len},
                    [], seed=args.seed)
     print(f"simulate: {len(result.rows)} cells -> {args.out}")
     return EXIT_OK
@@ -314,7 +314,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model-out", required=True)
     p.add_argument("--grid-report")
     p.add_argument("--n-trees", type=int, action="append")
-    p.add_argument("--criterion", choices=["gini", "entropy"], action="append")
+    p.add_argument("--criterion", choices=CRITERIA, action="append")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
@@ -362,6 +362,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except SettingError as exc:
+        print(f"fdspoof: usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except LayoutMismatch as exc:
         print(f"fdspoof: layout mismatch: {exc}", file=sys.stderr)
         return EXIT_LAYOUT

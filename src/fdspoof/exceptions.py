@@ -10,6 +10,10 @@ class FdspoofError(Exception):
     """Base class for all toolkit errors."""
 
 
+class SettingError(ValueError):
+    """A configuration value that its validator rejects (a usage error)."""
+
+
 # audio_io
 class UnsupportedFormat(FdspoofError):
     """File is not an uncompressed linear-PCM waveform we can read."""
@@ -68,7 +72,7 @@ class LayoutMismatch(FdspoofError):
 
 # asvspoof
 class ParseError(FdspoofError):
-    """Malformed protocol line."""
+    """Malformed protocol, feature CSV or model file."""
 
 
 class DegenerateProtocol(FdspoofError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cepstral import CepstralMatrix
-from .exceptions import DomainError, InsufficientDigits, ZeroValue
+from .exceptions import DomainError, InsufficientDigits, SettingError, ZeroValue
 
 DIVERGENCE_NAMES = ("js", "renyi", "tsallis", "mse")
 
@@ -43,11 +43,11 @@ class FdConfig:
 
     def __post_init__(self) -> None:
         if any(b < 2 for b in self.bases):
-            raise ValueError("every base must be >= 2")
+            raise SettingError("every base must be >= 2")
         if any(d <= 0 for d in self.deltas):
-            raise ValueError("every quantization step must be > 0")
+            raise SettingError("every quantization step must be > 0")
         if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
+            raise SettingError("alpha must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -168,13 +168,11 @@ def _curve_batch(params: np.ndarray, digits: np.ndarray, ln_base: float) -> np.n
 
 def _objective_batch(params: np.ndarray, probs: np.ndarray, digits: np.ndarray,
                      ln_base: float) -> np.ndarray:
-    """Mean squared error per problem; +inf where gamma + d^delta <= 0."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        t = params[:, 1:2] + digits[None, :] ** params[:, 2:3]
-        q = params[:, 0:1] * np.log1p(1.0 / t) / ln_base
-        residual = np.mean((q - probs) ** 2, axis=1)
-    feasible = np.all(t > 0.0, axis=1) & np.isfinite(residual)
-    return np.where(feasible, residual, np.inf)
+    """Mean squared error of the curve per problem; +inf where it is not finite,
+    which includes every problem with gamma + d^delta <= 0 at some digit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.mean((_curve_batch(params, digits, ln_base) - probs) ** 2, axis=1)
+    return np.where(np.isfinite(residual), residual, np.inf)
 
 
 def fit_benford_batch(probs: np.ndarray, base: int,
@@ -186,7 +184,7 @@ def fit_benford_batch(probs: np.ndarray, base: int,
     converge within the iteration cap report the initial point (1, 0, 1) and
     its residual, flagged converged=False.
     """
-    probs = np.asarray(probs, dtype=np.float64)
+    probs = np.ascontiguousarray(probs, dtype=np.float64)
     if probs.ndim == 1:
         probs = probs[None, :]
     n_prob = probs.shape[0]
@@ -203,11 +201,11 @@ def fit_benford_batch(probs: np.ndarray, base: int,
     fv = np.stack(
         [_objective_batch(sim[:, v, :], probs, digits, ln_base) for v in range(4)], axis=1
     )
-    init_residual = fv[:, 0].copy()
 
     params = np.tile(x0, (n_prob, 1))
-    residual = init_residual.copy()
+    residual = fv[:, 0].copy()
     converged = np.zeros(n_prob, dtype=bool)
+    # sim, fv and probs hold the active problems only, row-aligned with `active`
     active = np.arange(n_prob)
 
     alpha, gamma_e, rho, sigma = 1.0, 2.0, 0.5, 0.5
@@ -224,14 +222,14 @@ def fit_benford_batch(probs: np.ndarray, base: int,
             residual[idx] = fv[done, 0]
             converged[idx] = True
             keep = ~done
-            sim, fv, active = sim[keep], fv[keep], active[keep]
+            sim, fv, probs, active = sim[keep], fv[keep], probs[keep], active[keep]
         if active.size == 0:
             break
 
         centroid = sim[:, :3, :].mean(axis=1)
         worst = sim[:, 3, :]
         xr = centroid + alpha * (centroid - worst)
-        fr = _objective_batch(xr, probs[active], digits, ln_base)
+        fr = _objective_batch(xr, probs, digits, ln_base)
 
         f_best, f_second, f_worst = fv[:, 0], fv[:, 2], fv[:, 3]
         new_x = xr.copy()
@@ -241,28 +239,22 @@ def fit_benford_batch(probs: np.ndarray, base: int,
         expand_try = fr < f_best
         if expand_try.any():
             xe = centroid[expand_try] + gamma_e * (xr[expand_try] - centroid[expand_try])
-            fe = _objective_batch(xe, probs[active][expand_try], digits, ln_base)
+            fe = _objective_batch(xe, probs[expand_try], digits, ln_base)
             better = fe < fr[expand_try]
             rows = np.nonzero(expand_try)[0][better]
             new_x[rows] = xe[better]
             new_f[rows] = fe[better]
 
-        contract_out = (~expand_try) & (fr >= f_second) & (fr < f_worst)
-        if contract_out.any():
-            xc = centroid[contract_out] + rho * (xr[contract_out] - centroid[contract_out])
-            fc = _objective_batch(xc, probs[active][contract_out], digits, ln_base)
-            ok = fc <= fr[contract_out]
-            rows = np.nonzero(contract_out)[0]
-            new_x[rows[ok]] = xc[ok]
-            new_f[rows[ok]] = fc[ok]
-            shrink[rows[~ok]] = True
-
-        contract_in = (~expand_try) & (fr >= f_worst)
-        if contract_in.any():
-            xc = centroid[contract_in] + rho * (worst[contract_in] - centroid[contract_in])
-            fc = _objective_batch(xc, probs[active][contract_in], digits, ln_base)
-            ok = fc < f_worst[contract_in]
-            rows = np.nonzero(contract_in)[0]
+        # contract towards the reflected point when it beats the worst vertex
+        # (accepted if no worse than it), else towards the worst vertex
+        # (accepted if strictly better than it); a rejected contraction shrinks
+        rows = np.nonzero(~expand_try & (fr >= f_second))[0]
+        if rows.size:
+            outside = fr[rows] < f_worst[rows]
+            target = np.where(outside[:, None], xr[rows], worst[rows])
+            xc = centroid[rows] + rho * (target - centroid[rows])
+            fc = _objective_batch(xc, probs[rows], digits, ln_base)
+            ok = np.where(outside, fc <= fr[rows], fc < f_worst[rows])
             new_x[rows[ok]] = xc[ok]
             new_f[rows[ok]] = fc[ok]
             shrink[rows[~ok]] = True
@@ -274,7 +266,7 @@ def fit_benford_batch(probs: np.ndarray, base: int,
             rows = np.nonzero(shrink)[0]
             sim[rows, 1:, :] = sim[rows, :1, :] + sigma * (sim[rows, 1:, :] - sim[rows, :1, :])
             for v in (1, 2, 3):
-                fv[rows, v] = _objective_batch(sim[rows, v, :], probs[active][rows], digits, ln_base)
+                fv[rows, v] = _objective_batch(sim[rows, v, :], probs[rows], digits, ln_base)
 
     return params, residual, converged
 
@@ -358,8 +350,11 @@ def layout_hash(layout) -> str:
 
 
 def parse_feature_name(name: str) -> FeatureDescriptor:
-    div, f_part, b_part, d_part = name.split("_")
-    return FeatureDescriptor(div, int(f_part[1:]), int(b_part[1:]), float(d_part[1:]))
+    try:
+        div, f_part, b_part, d_part = name.split("_")
+        return FeatureDescriptor(div, int(f_part[1:]), int(b_part[1:]), float(d_part[1:]))
+    except ValueError:
+        raise ValueError(f"unparsable feature column name {name!r}") from None
 
 
 def _cell_pmfs(matrix: CepstralMatrix, config: FdConfig) -> list[DigitPmf]:

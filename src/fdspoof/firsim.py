@@ -26,7 +26,7 @@ from scipy import signal as sp_signal
 
 from .audio_io import AudioBuffer
 from .cepstral import CepstralConfig, mfcc
-from .exceptions import DesignFailure, FdspoofError
+from .exceptions import DesignFailure, FdspoofError, SettingError
 from .fd_features import digit_pmf, divergences, fit_benford
 
 REMEZ_MAX_ITER = 50
@@ -42,11 +42,11 @@ class FirDesignSpec:
 
     def __post_init__(self) -> None:
         if self.n_coeffs < 3:
-            raise ValueError("n_coeffs must be >= 3")
+            raise SettingError("n_coeffs must be >= 3")
         if not (0.0 < self.passband_edge < self.stopband_edge < 1.0):
-            raise ValueError("need 0 < passband_edge < stopband_edge < 1 (Nyquist units)")
+            raise SettingError("need 0 < passband_edge < stopband_edge < 1 (Nyquist units)")
         if self.design_method != "equiripple":
-            raise ValueError("only equiripple design is supported")
+            raise SettingError("only equiripple design is supported")
 
 
 @dataclass(frozen=True)
@@ -173,6 +173,8 @@ def divergence_sweep(
     are independent of scheduling and of `jobs`; a cell fails only if every
     trial fails.
     """
+    if n_trials < 1:
+        raise SettingError("n_trials must be >= 1")
     cepstral_cfg = cepstral_cfg or CepstralConfig()
     cells = [
         (delta, freq, nc)

@@ -11,12 +11,12 @@ Each tree of a forest trains on an independent bootstrap seeded by
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .exceptions import EmptyDataset, LayoutMismatch
+from .exceptions import EmptyDataset, LayoutMismatch, ParseError, SettingError
 
 DEFAULT_GRID_TREES = (10, 100, 500, 1000)
 CRITERIA = ("gini", "entropy")
@@ -51,31 +51,33 @@ class ForestConfig:
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
+            raise SettingError("n_trees must be >= 1")
         if self.criterion not in CRITERIA:
-            raise ValueError(f"criterion must be one of {CRITERIA}")
+            raise SettingError(f"criterion must be one of {CRITERIA}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tree:
-    """Flat node arrays; children of -1 mark a leaf."""
+    """Flat node arrays; children of -1 mark a leaf, whose feature is -1.
 
-    feature: list[int] = field(default_factory=list)
-    threshold: list[float] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
-    counts: list[list[int]] = field(default_factory=list)  # [n_class0, n_class1]
-    gain: list[float] = field(default_factory=list)
+    `_grow` numbers every child after its parent, and `load_model` accepts
+    only trees whose children both lie in (node, n_nodes). A walk from the
+    root therefore only moves to higher node indices, so it cannot cycle and
+    reaches a leaf within n_nodes steps.
+    """
 
-    def leaf_class(self, node: int) -> int:
-        c0, c1 = self.counts[node]
-        return 1 if c1 > c0 else 0
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray  # n_nodes x 2: [n_class0, n_class1]
+    gain: np.ndarray
 
-    def predict_one(self, x: np.ndarray) -> int:
-        node = 0
-        while self.left[node] != -1:
-            node = self.left[node] if x[self.feature[node]] <= self.threshold[node] else self.right[node]
-        return self.leaf_class(node)
+    def __post_init__(self) -> None:
+        for name, dtype in (("feature", np.int64), ("threshold", np.float64),
+                            ("left", np.int64), ("right", np.int64),
+                            ("counts", np.int64), ("gain", np.float64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
 
 
 @dataclass(frozen=True)
@@ -126,22 +128,36 @@ def _best_split(x: np.ndarray, y: np.ndarray, criterion: str, min_leaf: int):
     return float(threshold), float(gain[best])
 
 
-def _grow(tree: Tree, X: np.ndarray, y: np.ndarray, rows: np.ndarray,
-          config: ForestConfig, n_features_split: int, rng: np.random.Generator) -> None:
-    """Depth-first, left-child-first growth with an explicit stack."""
+def _grow(data: LabeledDataset, config: ForestConfig, seed: int, bootstrap: bool) -> Tree:
+    """Depth-first, left-child-first growth with an explicit stack.
+
+    Both the bootstrap rows and the per-node feature draws derive from `seed`.
+    """
+    X, y, n = data.features, data.labels, data.n_records
+    n_features_split = _resolve_features_per_split(config, X.shape[1])
+    rows = np.arange(n)
+    if bootstrap:
+        rows = np.sort(np.random.default_rng(seed).integers(0, n, size=n))
+    rng = np.random.default_rng(seed)
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    counts: list[list[int]] = []
+    gain: list[float] = []
     stack: list[tuple[np.ndarray, int, int, int]] = [(rows, 0, -1, 0)]
     while stack:
         node_rows, depth, parent, side = stack.pop()
-        node = len(tree.feature)
+        node = len(feature)
         if parent >= 0:
-            (tree.left if side == 0 else tree.right)[parent] = node
+            (left if side == 0 else right)[parent] = node
         ones = int(y[node_rows].sum())
-        tree.feature.append(-1)
-        tree.threshold.append(0.0)
-        tree.left.append(-1)
-        tree.right.append(-1)
-        tree.counts.append([node_rows.size - ones, ones])
-        tree.gain.append(0.0)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        counts.append([node_rows.size - ones, ones])
+        gain.append(0.0)
 
         pure = ones == 0 or ones == node_rows.size
         at_depth = config.max_depth is not None and depth >= config.max_depth
@@ -164,13 +180,14 @@ def _grow(tree: Tree, X: np.ndarray, y: np.ndarray, rows: np.ndarray,
         if best_feature < 0:
             continue
 
-        tree.feature[node] = best_feature
-        tree.threshold[node] = best_threshold
-        tree.gain[node] = best_gain
+        feature[node] = best_feature
+        threshold[node] = best_threshold
+        gain[node] = best_gain
         mask = X[node_rows, best_feature] <= best_threshold
         # push right first so the left child is grown (and numbered) first
         stack.append((node_rows[~mask], depth + 1, node, 1))
         stack.append((node_rows[mask], depth + 1, node, 0))
+    return Tree(feature, threshold, left, right, counts, gain)
 
 
 def _resolve_features_per_split(config: ForestConfig, n_features: int) -> int:
@@ -186,12 +203,7 @@ def train_tree(data: LabeledDataset, config: ForestConfig, tree_seed: int) -> Tr
     """Grow one CART tree on the whole dataset (no bootstrap here)."""
     if data.n_records == 0:
         raise EmptyDataset("cannot train on an empty dataset")
-    rng = np.random.default_rng(tree_seed)
-    tree = Tree()
-    rows = np.arange(data.n_records)
-    k = _resolve_features_per_split(config, data.features.shape[1])
-    _grow(tree, data.features, data.labels, rows, config, k, rng)
-    return tree
+    return _grow(data, config, tree_seed, bootstrap=False)
 
 
 def train_forest(data: LabeledDataset, config: ForestConfig) -> TrainedModel:
@@ -200,18 +212,36 @@ def train_forest(data: LabeledDataset, config: ForestConfig) -> TrainedModel:
         raise EmptyDataset("cannot train on an empty dataset")
     if len(np.unique(data.labels)) < 2:
         raise EmptyDataset("training data must contain both classes")
-    n = data.n_records
-    k = _resolve_features_per_split(config, data.features.shape[1])
-    trees = []
-    for t in range(config.n_trees):
-        seed = config.seed + t
-        rng = np.random.default_rng(seed)
-        rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-        tree = Tree()
-        _grow(tree, data.features, data.labels, np.sort(rows), config, k,
-              np.random.default_rng(seed))
-        trees.append(tree)
-    return TrainedModel(trees=tuple(trees), config=config, layout_hash=data.layout_hash)
+    trees = tuple(_grow(data, config, config.seed + t, config.bootstrap)
+                  for t in range(config.n_trees))
+    return TrainedModel(trees=trees, config=config, layout_hash=data.layout_hash)
+
+
+def _tree_votes(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Level-synchronous traversal of one tree for all rows at once."""
+    nodes = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        feat = tree.feature[nodes]
+        walking = feat >= 0
+        if not walking.any():
+            break
+        idx = np.nonzero(walking)[0]
+        go_left = X[idx, feat[idx]] <= tree.threshold[nodes[idx]]
+        nodes[idx] = np.where(go_left, tree.left[nodes[idx]], tree.right[nodes[idx]])
+    return (tree.counts[nodes, 1] > tree.counts[nodes, 0]).astype(np.int64)
+
+
+def _votes(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+    """Spoof votes per row of X, summed over the trees."""
+    widest = max(int(tree.feature.max()) for tree in model.trees)
+    if widest >= X.shape[1]:
+        raise LayoutMismatch(
+            f"model splits on feature {widest}, but the features have {X.shape[1]} columns"
+        )
+    votes = np.zeros(X.shape[0], dtype=np.int64)
+    for tree in model.trees:
+        votes += _tree_votes(tree, X)
+    return votes
 
 
 def predict(model: TrainedModel, features: np.ndarray) -> tuple[int, float]:
@@ -220,28 +250,8 @@ def predict(model: TrainedModel, features: np.ndarray) -> tuple[int, float]:
     A 50/50 tie resolves to bonafide (label 0).
     """
     x = np.asarray(features, dtype=np.float64)
-    votes = sum(tree.predict_one(x) for tree in model.trees)
-    score = votes / len(model.trees)
+    score = int(_votes(model, x[None, :])[0]) / len(model.trees)
     return (1 if score > 0.5 else 0), score
-
-
-def _tree_votes(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """Level-synchronous traversal of one tree for all rows at once."""
-    feature = np.asarray(tree.feature, dtype=np.int64)
-    threshold = np.asarray(tree.threshold)
-    left = np.asarray(tree.left, dtype=np.int64)
-    right = np.asarray(tree.right, dtype=np.int64)
-    counts = np.asarray(tree.counts, dtype=np.int64)
-    nodes = np.zeros(X.shape[0], dtype=np.int64)
-    while True:
-        feat = feature[nodes]
-        walking = feat >= 0
-        if not walking.any():
-            break
-        idx = np.nonzero(walking)[0]
-        go_left = X[idx, feat[idx]] <= threshold[nodes[idx]]
-        nodes[idx] = np.where(go_left, left[nodes[idx]], right[nodes[idx]])
-    return (counts[nodes, 1] > counts[nodes, 0]).astype(np.int64)
 
 
 def predict_batch(model: TrainedModel, dataset: LabeledDataset) -> np.ndarray:
@@ -250,10 +260,7 @@ def predict_batch(model: TrainedModel, dataset: LabeledDataset) -> np.ndarray:
         raise LayoutMismatch(
             f"features layout {dataset.layout_hash} != model layout {model.layout_hash}"
         )
-    X = dataset.features
-    votes = np.zeros(X.shape[0], dtype=np.int64)
-    for tree in model.trees:
-        votes += _tree_votes(tree, X)
+    votes = _votes(model, dataset.features)
     return (votes * 2 > len(model.trees)).astype(np.int64)
 
 
@@ -314,45 +321,51 @@ MODEL_FORMAT = "fdspoof-forest-v1"
 def save_model(model: TrainedModel, path: str | Path) -> None:
     doc = {
         "format": MODEL_FORMAT,
-        "config": {
-            "n_trees": model.config.n_trees,
-            "criterion": model.config.criterion,
-            "features_per_split": model.config.features_per_split,
-            "seed": model.config.seed,
-            "max_depth": model.config.max_depth,
-            "min_samples_leaf": model.config.min_samples_leaf,
-            "bootstrap": model.config.bootstrap,
-        },
+        "config": asdict(model.config),
         "layout_hash": model.layout_hash,
-        "trees": [
-            {
-                "feature": tree.feature,
-                "threshold": tree.threshold,
-                "left": tree.left,
-                "right": tree.right,
-                "counts": tree.counts,
-                "gain": tree.gain,
-            }
-            for tree in model.trees
-        ],
+        "trees": [{f.name: getattr(tree, f.name).tolist() for f in fields(Tree)}
+                  for tree in model.trees],
     }
     Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
+def _check_tree(tree: Tree, where: str) -> None:
+    """ParseError unless the node arrays form a tree `_grow` could have built."""
+    n = tree.feature.shape[0] if tree.feature.ndim == 1 else 0
+    if n == 0:
+        raise ParseError(f"{where}: feature must be a non-empty list of nodes")
+    for name in ("threshold", "left", "right", "gain"):
+        if getattr(tree, name).shape != (n,):
+            raise ParseError(f"{where}: {name} does not have one entry per node ({n})")
+    if tree.counts.shape != (n, 2) or np.any(tree.counts < 0):
+        raise ParseError(f"{where}: counts must be {n} non-negative [class0, class1] pairs")
+    node = np.arange(n)
+    leaf = (tree.left == -1) & (tree.right == -1)
+    inner = (tree.left > node) & (tree.left < n) & (tree.right > node) & (tree.right < n)
+    if not np.all(leaf | inner):
+        raise ParseError(f"{where}: children must both be -1 or both lie in (node, {n})")
+    if not np.all(np.where(leaf, tree.feature == -1, tree.feature >= 0)):
+        raise ParseError(f"{where}: feature must be -1 at leaves and >= 0 elsewhere")
+
+
 def load_model(path: str | Path) -> TrainedModel:
-    doc = json.loads(Path(path).read_text())
+    """Read a model file; ParseError unless every tree is well formed."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ParseError(f"{path}: not a JSON model file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: not a JSON model file")
     if doc.get("format") != MODEL_FORMAT:
         raise LayoutMismatch(f"unknown model format {doc.get('format')!r}")
-    config = ForestConfig(**doc["config"])
-    trees = tuple(
-        Tree(
-            feature=t["feature"],
-            threshold=t["threshold"],
-            left=t["left"],
-            right=t["right"],
-            counts=t["counts"],
-            gain=t["gain"],
-        )
-        for t in doc["trees"]
-    )
-    return TrainedModel(trees=trees, config=config, layout_hash=doc["layout_hash"])
+    try:
+        config = ForestConfig(**doc["config"])
+        trees = tuple(Tree(**{f.name: t[f.name] for f in fields(Tree)}) for t in doc["trees"])
+        layout = doc["layout_hash"]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: malformed model: {type(exc).__name__}: {exc}") from None
+    if len(trees) != config.n_trees:
+        raise ParseError(f"{path}: {len(trees)} trees, but config n_trees is {config.n_trees}")
+    for i, tree in enumerate(trees):
+        _check_tree(tree, f"{path}: tree {i}")
+    return TrainedModel(trees=trees, config=config, layout_hash=layout)

@@ -23,6 +23,7 @@ from fdspoof.audio_io import AudioBuffer
 from fdspoof.forest import ForestConfig, grid_search, save_model, train_forest, train_tree
 from fdspoof.forest import LabeledDataset, accuracy as forest_accuracy
 from fdspoof.segmentation import EnergyConfig, SegmentKind
+from test_forest import walk_tree
 
 
 @contextmanager
@@ -164,7 +165,7 @@ def test_criterion_8_forest_sanity(tmp_path):
         xor = LabeledDataset(xor_features, np.array([0, 1, 1, 0]),
                              ("a", "b", "c", "d"), "xor")
         tree = train_tree(xor, ForestConfig(features_per_split=2), tree_seed=0)
-        assert [tree.predict_one(r) for r in xor_features] == [0, 1, 1, 0]
+        assert [walk_tree(tree, r) for r in xor_features] == [0, 1, 1, 0]
 
         for name in ("m1.json", "m2.json"):
             save_model(train_forest(train, ForestConfig(n_trees=20, seed=5)), tmp_path / name)

@@ -1,13 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fdspoof
 from conftest import make_filtered_clip
 from fdspoof import audio_io, cli
 from fdspoof.asvspoof import write_feature_csv
 from fdspoof.fd_features import FdConfig, feature_layout, layout_hash
 from fdspoof.forest import LabeledDataset
+from test_forest import three_node_doc
 
 
 @pytest.fixture(scope="module")
@@ -62,13 +68,13 @@ class TestExtract:
     def test_rerun_is_byte_identical(self, cli_corpus, tmp_path):
         root, protocol, audio_dir = cli_corpus
         outs = []
-        for name in ("x.csv", "y.csv"):
+        for name, jobs in (("x.csv", "1"), ("y.csv", "2")):
             out = tmp_path / name
             assert cli.main([
                 "extract", "--protocol", str(protocol), "--audio-root", str(audio_dir),
-                "--segment", "full", "--out", str(out), "--jobs", "2",
+                "--segment", "full", "--out", str(out), "--jobs", jobs,
             ]) == 0
-            outs.append(out.read_bytes())
+            outs.append((out.read_bytes(), Path(str(out) + ".manifest.json").read_bytes()))
         assert outs[0] == outs[1]
 
     def test_unknown_segment_is_usage_error(self, cli_corpus, tmp_path):
@@ -171,6 +177,8 @@ class TestSimulate:
         assert cli.main(args + ["--out", str(a)]) == 0
         assert cli.main(args + ["--out", str(b), "--jobs", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
+        manifests = [Path(str(out) + ".manifest.json").read_bytes() for out in (a, b)]
+        assert manifests[0] == manifests[1]
         assert len(a.read_text().splitlines()) == 3  # header + 2 cells
 
 
@@ -226,3 +234,101 @@ class TestAblateCommand:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 8  # header + 8 configurations x 1 system
+
+
+class TestRejectedInput:
+    """Malformed files exit 2, rejected setting values 64, out-of-layout models 65."""
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["extract", "--hop", "0"], None, "hop must be in (0, frame_len]"),
+        (["extract", "--bases", "x"], None, "bases: invalid literal"),
+        (["extract"], "alpha=2\n", "alpha must lie in (0, 1)"),
+        (["train", "--n-trees", "0"], None, "n_trees must be >= 1"),
+        (["simulate", "--trials", "0"], None, "n_trials must be >= 1"),
+    ])
+    def test_rejected_setting_is_usage_error(self, extracted, cli_corpus, tmp_path, capsys,
+                                             argv, config, message):
+        _, features = extracted
+        _, protocol, audio_dir = cli_corpus
+        required = {
+            "extract": ["--protocol", str(protocol), "--audio-root", str(audio_dir),
+                        "--segment", "full", "--out", str(tmp_path / "f.csv")],
+            "train": ["--train-features", str(features), "--dev-features", str(features),
+                      "--model-out", str(tmp_path / "m.json")],
+            "simulate": ["--out", str(tmp_path / "s.csv")],
+        }[argv[0]]
+        if config is not None:
+            (tmp_path / "conf.txt").write_text(config)
+            required += ["--config", str(tmp_path / "conf.txt")]
+        assert cli.main(argv + required) == 64
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("probe", ["ragged_row", "bad_column_name", "non_finite", "label_7"])
+    def test_malformed_feature_csv_exits_2(self, extracted, tmp_path, capsys, probe):
+        _, features = extracted
+        lines = features.read_text().splitlines()
+        fields = lines[2].split(",")
+        if probe == "ragged_row":
+            lines[2] = ",".join(fields[:-1])
+        elif probe == "bad_column_name":
+            lines[0] = lines[0].replace("js_f2_b10_d1", "js_fx_b10_d1")
+        elif probe == "non_finite":
+            lines[2] = ",".join(fields[:5] + ["nan"] + fields[6:])
+        else:
+            lines[2] = ",".join(fields[:1] + ["7"] + fields[2:])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = cli.main([
+            "train", "--train-features", str(bad), "--dev-features", str(features),
+            "--model-out", str(tmp_path / "m.json"), "--n-trees", "2", "--criterion", "gini",
+        ])
+        assert code == 2
+        line = 1 if probe == "bad_column_name" else 3
+        assert f"{bad}:{line}:" in capsys.readouterr().err
+
+    def model_for(self, features, tmp_path, **nodes):
+        doc = three_node_doc()
+        doc["layout_hash"] = layout_hash(feature_layout(FdConfig(), tuple(range(2, 15))))
+        doc["trees"][0].update(nodes)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def evaluate(self, model, features, tmp_path):
+        return cli.main(["evaluate", "--model", str(model), "--features", str(features),
+                         "--out", str(tmp_path / "report.csv")])
+
+    def test_cyclic_model_exits_2_without_hanging(self, extracted, tmp_path):
+        _, features = extracted
+        # every row goes left at nodes 0 and 1, so a walk that follows 1 -> 0 never ends
+        model = self.model_for(features, tmp_path, feature=[0, 0, -1], left=[1, 0, -1],
+                               right=[2, 2, -1], threshold=[1e300, 1e300, 0.0])
+        src = str(Path(fdspoof.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run(
+            [sys.executable, "-m", "fdspoof.cli", "evaluate", "--model", str(model),
+             "--features", str(features), "--out", str(tmp_path / "report.csv")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "children must both be -1 or both lie in" in done.stderr
+
+    def test_out_of_range_child_exits_2(self, extracted, tmp_path):
+        _, features = extracted
+        model = self.model_for(features, tmp_path, right=[7, -1, -1])
+        assert self.evaluate(model, features, tmp_path) == 2
+
+    def test_out_of_range_feature_exits_65(self, extracted, tmp_path):
+        _, features = extracted
+        model = self.model_for(features, tmp_path, feature=[416, -1, -1])
+        assert self.evaluate(model, features, tmp_path) == 65
+        model = self.model_for(features, tmp_path, feature=[415, -1, -1])
+        assert self.evaluate(model, features, tmp_path) == 0
+
+    @pytest.mark.parametrize("text", ["{not json", '{"format": "fdspoof-forest-v1"}'])
+    def test_unreadable_model_exits_2(self, extracted, tmp_path, text):
+        _, features = extracted
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        assert self.evaluate(model, features, tmp_path) == 2

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import make_blobs
-from fdspoof.exceptions import EmptyDataset, LayoutMismatch
+from fdspoof.exceptions import EmptyDataset, LayoutMismatch, ParseError
 from fdspoof.forest import (
     ForestConfig,
     LabeledDataset,
@@ -25,6 +27,15 @@ def dataset_of(features, labels, layout_hash="h"):
     return LabeledDataset(features, np.asarray(labels), ids, layout_hash)
 
 
+def walk_tree(tree, x):
+    """Reference per-row walk of one tree: the leaf's majority class."""
+    node = 0
+    while tree.left[node] != -1:
+        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+    c0, c1 = tree.counts[node]
+    return 1 if c1 > c0 else 0
+
+
 def gini_of(counts):
     total = sum(counts)
     return 1.0 - sum((c / total) ** 2 for c in counts)
@@ -35,18 +46,18 @@ class TestTrainTree:
         data = dataset_of([[0.0], [1.0]], [0, 1])
         tree = train_tree(data, ForestConfig(features_per_split=1), tree_seed=0)
         assert tree.threshold[0] == 0.5
-        assert sorted([tree.counts[1], tree.counts[2]]) == [[0, 1], [1, 0]]
+        assert sorted([tree.counts[1].tolist(), tree.counts[2].tolist()]) == [[0, 1], [1, 0]]
 
     def test_single_class_single_leaf(self):
         data = dataset_of([[0.0], [1.0], [2.0]], [1, 1, 1])
         tree = train_tree(data, ForestConfig(features_per_split=1), tree_seed=0)
         assert len(tree.feature) == 1
-        assert tree.counts[0] == [0, 3]
+        assert tree.counts[0].tolist() == [0, 3]
 
     def test_xor_reaches_purity(self):
         data = dataset_of([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], [0, 1, 1, 0])
         tree = train_tree(data, ForestConfig(features_per_split=2), tree_seed=3)
-        preds = [tree.predict_one(row) for row in data.features]
+        preds = [walk_tree(tree, row) for row in data.features]
         assert preds == [0, 1, 1, 0]
 
     def test_max_depth_respected(self):
@@ -80,17 +91,17 @@ class TestTrainForest:
                               seed=9, bootstrap=False)
         model = train_forest(blobs, config)
         lone = train_tree(blobs, config, tree_seed=9)
-        assert model.trees[0].feature == lone.feature
-        assert model.trees[0].threshold == lone.threshold
-        assert model.trees[0].counts == lone.counts
+        assert np.array_equal(model.trees[0].feature, lone.feature)
+        assert np.array_equal(model.trees[0].threshold, lone.threshold)
+        assert np.array_equal(model.trees[0].counts, lone.counts)
 
     def test_deterministic(self, blobs):
         config = ForestConfig(n_trees=20, seed=4)
         a = train_forest(blobs, config)
         b = train_forest(blobs, config)
         for ta, tb in zip(a.trees, b.trees):
-            assert ta.feature == tb.feature
-            assert ta.threshold == tb.threshold
+            assert np.array_equal(ta.feature, tb.feature)
+            assert np.array_equal(ta.threshold, tb.threshold)
 
     def test_separable_blobs_heldout_accuracy(self):
         train = make_blobs(100, seed=0)
@@ -144,8 +155,17 @@ class TestPredict:
         model = train_forest(data, ForestConfig(n_trees=9, seed=2))
         probe = dataset_of(rng.normal(0.0, 1.5, (200, 4)), np.zeros(200, dtype=int))
         batch = predict_batch(model, probe)
-        rows = [predict(model, row)[0] for row in probe.features]
-        assert batch.tolist() == rows
+        walked = [int(2 * sum(walk_tree(t, row) for t in model.trees) > len(model.trees))
+                  for row in probe.features]
+        assert batch.tolist() == walked
+        assert [predict(model, row)[0] for row in probe.features] == walked
+
+    def test_feature_index_beyond_width_is_layout_mismatch(self):
+        tree = Tree(feature=[3, -1, -1], threshold=[0.0, 0.0, 0.0], left=[1, -1, -1],
+                    right=[2, -1, -1], counts=[[1, 1], [1, 0], [0, 1]], gain=[0.5, 0.0, 0.0])
+        model = TrainedModel((tree,), ForestConfig(n_trees=1), "h")
+        with pytest.raises(LayoutMismatch, match="feature 3"):
+            predict_batch(model, dataset_of(np.zeros((2, 3)), [0, 1]))
 
 
 class TestGridSearch:
@@ -187,6 +207,8 @@ class TestPersistence:
         assert back.config == model.config
         assert back.layout_hash == model.layout_hash
         assert predict_batch(back, blobs).tolist() == predict_batch(model, blobs).tolist()
+        save_model(back, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_identical_seeds_give_identical_bytes(self, tmp_path, blobs):
         a = train_forest(blobs, ForestConfig(n_trees=5, seed=6))
@@ -194,3 +216,72 @@ class TestPersistence:
         save_model(a, tmp_path / "a.json")
         save_model(b, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def three_node_doc():
+    """A valid one-tree model document: a root split and two leaves."""
+    return {
+        "format": "fdspoof-forest-v1",
+        "config": {"n_trees": 1, "criterion": "gini", "features_per_split": None, "seed": 0,
+                   "max_depth": None, "min_samples_leaf": 1, "bootstrap": True},
+        "layout_hash": "h",
+        "trees": [{"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
+                   "left": [1, -1, -1], "right": [2, -1, -1],
+                   "counts": [[1, 1], [1, 0], [0, 1]], "gain": [0.5, 0.0, 0.0]}],
+    }
+
+
+class TestModelValidation:
+    def write(self, tmp_path, doc):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_valid_document_loads(self, tmp_path):
+        model = load_model(self.write(tmp_path, three_node_doc()))
+        assert predict(model, np.array([0.0]))[0] == 0
+        assert predict(model, np.array([1.0]))[0] == 1
+
+    @pytest.mark.parametrize("nodes", [
+        {"feature": [0, 0, -1], "left": [1, 0, -1], "right": [2, 2, -1]},  # cycle
+        {"left": [0, -1, -1]},  # self loop
+        {"right": [3, -1, -1]},  # child past the end
+        {"right": [-1, -1, -1]},  # one child only
+        {"threshold": [0.5, 0.0]},  # arrays of unequal length
+        {"feature": [0, -1]},
+        {"counts": [[1, 1, 0], [1, 0, 0], [0, 1, 0]]},  # not n x 2
+        {"counts": [[1, 1], [1, 0], [0, -1]]},  # negative count
+        {"feature": [-1, -1, -1]},  # inner node without a feature
+        {"feature": [0, 2, -1]},  # leaf with a feature
+        {"feature": [-2, -1, -1]},
+        {"feature": [0, -1, "x"]},
+        {"feature": [], "threshold": [], "left": [], "right": [], "counts": [], "gain": []},
+    ])
+    def test_malformed_tree_rejected(self, tmp_path, nodes):
+        doc = three_node_doc()
+        doc["trees"][0].update(nodes)
+        with pytest.raises(ParseError, match=r"tree 0: |malformed model"):
+            load_model(self.write(tmp_path, doc))
+
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc["trees"][0].pop("gain"),
+        lambda doc: doc.pop("layout_hash"),
+        lambda doc: doc.pop("trees"),
+        lambda doc: doc["config"].update(n_trees=2),
+        lambda doc: doc["config"].update(n_trees=0),
+        lambda doc: doc["config"].update(criterion="x"),
+        lambda doc: doc["config"].update(depth=3),
+        lambda doc: doc.update(trees=[[0, 1]]),
+    ])
+    def test_malformed_document_rejected(self, tmp_path, mutate):
+        doc = three_node_doc()
+        mutate(doc)
+        with pytest.raises(ParseError):
+            load_model(self.write(tmp_path, doc))
+
+    @pytest.mark.parametrize("data", [b"{not json", b"[1, 2]", b"\xff\xfe"])
+    def test_not_a_json_object_rejected(self, tmp_path, data):
+        path = tmp_path / "m.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError):
+            load_model(path)
