@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import csv
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import audio_io, cepstral, fd_features, segmentation
+from . import audio_io, cepstral, fd_features, parallel, segmentation
 from .cepstral import CepstralConfig
 from .exceptions import (
     DegenerateProtocol,
@@ -155,14 +155,34 @@ def _record_matrix(
 _SKIPPABLE = (EmptySignal, TooShort, InsufficientData, InsufficientDigits)
 
 
-def _extract_one(args) -> tuple[str, object]:
-    """Worker: (utterance_id, matrix | skip-exception)."""
-    path, kind_value, cepstral_cfg, energy_cfg = args
-    kind = SegmentKind(kind_value)
-    try:
-        return path.stem, _record_matrix(path, kind, cepstral_cfg, energy_cfg)
-    except _SKIPPABLE as exc:
-        return path.stem, exc
+def _skip(record_id: str, exc: FdspoofError) -> SkipRecord:
+    return SkipRecord(record_id, type(exc).__name__, str(exc))
+
+
+def _extract_chunk(
+    paths: list[Path],
+    kind: SegmentKind,
+    cepstral_cfg: CepstralConfig,
+    fd_cfg: FdConfig,
+    energy_cfg: EnergyConfig,
+) -> list[np.ndarray | SkipRecord]:
+    """Feature row or skip record of every path, in order; the chunk's
+    records share one batched fit per base."""
+    outcomes: list[np.ndarray | SkipRecord | None] = [None] * len(paths)
+    matrices, kept = [], []
+    for i, path in enumerate(paths):
+        try:
+            matrices.append(_record_matrix(path, kind, cepstral_cfg, energy_cfg))
+            kept.append(i)
+        except _SKIPPABLE as exc:
+            outcomes[i] = _skip(path.stem, exc)
+    vectors, failures = fd_features.assemble_features_many(matrices, fd_cfg)
+    for idx, exc in failures:
+        outcomes[kept[idx]] = _skip(paths[kept[idx]].stem, exc)
+    for i, vector in zip(kept, vectors):
+        if vector is not None:
+            outcomes[i] = vector.values
+    return outcomes
 
 
 def build_dataset(
@@ -176,7 +196,9 @@ def build_dataset(
 ) -> tuple[LabeledDataset, list[SkipRecord]]:
     """Extract the divergence features of every protocol entry.
 
-    Rows are sorted by record id; skipped records are reported with reasons.
+    Records run decode-to-features in contiguous chunks (`parallel.map_chunks`
+    over `jobs` processes). Rows are sorted by record id; skipped records are
+    reported with reasons. SettingError if `jobs < 1`.
     """
     cepstral_cfg = cepstral_cfg or CepstralConfig()
     fd_cfg = fd_cfg or FdConfig()
@@ -191,30 +213,16 @@ def build_dataset(
             raise MissingAudio(f"no audio file for {entry.utterance_id} under {audio_root}")
         paths.append(path)
 
-    tasks = [(p, segment_kind.value, cepstral_cfg, energy_cfg) for p in paths]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_extract_one, tasks, chunksize=16))
-    else:
-        outcomes = [_extract_one(t) for t in tasks]
-
-    skips: list[SkipRecord] = []
-    matrices = []
-    kept_entries = []
-    for entry, (record_id, outcome) in zip(ordered, outcomes):
-        if isinstance(outcome, FdspoofError):
-            skips.append(SkipRecord(record_id, type(outcome).__name__, str(outcome)))
-        else:
-            matrices.append(outcome)
-            kept_entries.append(entry)
-
-    vectors, failures = fd_features.assemble_features_many(matrices, fd_cfg)
-    for idx, exc in failures:
-        skips.append(SkipRecord(kept_entries[idx].utterance_id, type(exc).__name__, str(exc)))
-
-    rows = [(e, v) for e, v in zip(kept_entries, vectors) if v is not None]
+    outcomes = parallel.map_chunks(
+        partial(_extract_chunk, kind=segment_kind, cepstral_cfg=cepstral_cfg,
+                fd_cfg=fd_cfg, energy_cfg=energy_cfg),
+        paths, jobs,
+    )
+    skips = sorted((o for o in outcomes if isinstance(o, SkipRecord)),
+                   key=lambda skip: skip.record_id)
+    rows = [(e, o) for e, o in zip(ordered, outcomes) if not isinstance(o, SkipRecord)]
     layout = fd_features.feature_layout(fd_cfg, cepstral_cfg.frequencies)
-    features = np.array([v.values for _, v in rows]) if rows else np.zeros((0, len(layout)))
+    features = np.array([v for _, v in rows]) if rows else np.zeros((0, len(layout)))
     dataset = LabeledDataset(
         features=features,
         labels=np.array([0 if e.key == "bonafide" else 1 for e, _ in rows], dtype=np.int64),
@@ -222,7 +230,6 @@ def build_dataset(
         layout_hash=fd_features.layout_hash(layout),
         system_ids=tuple(e.system_id or BONAFIDE_MARK for e, _ in rows),
     )
-    skips.sort(key=lambda s: s.record_id)
     return dataset, skips
 
 

@@ -6,8 +6,8 @@ built-in defaults; every command writes a manifest with the fully resolved
 configuration and the SHA-256 of its declared file inputs, so a run can be
 reproduced byte-for-byte.
 
-Exit codes: 0 success, 2 data error, 64 usage error, 65 feature-layout
-mismatch, 70 internal error.
+Exit codes: 0 success, 2 data error (including a file that cannot be read or
+written), 64 usage error, 65 feature-layout mismatch, 70 internal error.
 """
 
 from __future__ import annotations
@@ -87,6 +87,22 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
+def _ints(text) -> tuple[int, ...]:
+    return tuple(int(v) for v in str(text).split(","))
+
+
+def _floats(text) -> tuple[float, ...]:
+    return tuple(float(v) for v in str(text).split(","))
+
+
+def _parsed(name: str, parse, text):
+    """`parse(text)`, with a ValueError turned into a SettingError naming `name`."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise SettingError(f"{name}: {exc}") from None
+
+
 _SETTINGS = {
     # name -> (parser, default)
     "window_len": (int, 101),
@@ -96,8 +112,8 @@ _SETTINGS = {
     "n_filters": (int, 26),
     "coeff_lo": (int, 2),
     "coeff_hi": (int, 14),
-    "bases": (lambda s: tuple(int(v) for v in str(s).split(",")), (10, 20)),
-    "deltas": (lambda s: tuple(float(v) for v in str(s).split(",")), (1.0, 2.0, 3.0, 4.0)),
+    "bases": (_ints, (10, 20)),
+    "deltas": (_floats, (1.0, 2.0, 3.0, 4.0)),
     "alpha": (float, 0.3),
     "epsilon": (float, 1e-10),
     "min_digits": (int, 10),
@@ -113,15 +129,12 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     resolved = {}
     for name, (parse, default) in _SETTINGS.items():
         flag = getattr(args, name, None)
-        try:
-            if flag is not None:
-                resolved[name] = parse(flag) if isinstance(flag, str) else flag
-            elif name in file_values:
-                resolved[name] = parse(file_values[name])
-            else:
-                resolved[name] = default
-        except ValueError as exc:
-            raise SettingError(f"{name}: {exc}") from None
+        if flag is not None:
+            resolved[name] = _parsed(name, parse, flag) if isinstance(flag, str) else flag
+        elif name in file_values:
+            resolved[name] = _parsed(name, parse, file_values[name])
+        else:
+            resolved[name] = default
     return resolved
 
 
@@ -248,9 +261,9 @@ def cmd_ablate(args) -> int:
 
 def cmd_simulate(args) -> int:
     result = firsim.divergence_sweep(
-        n_coeffs_list=tuple(int(v) for v in args.nc_list.split(",")),
-        deltas=tuple(float(v) for v in args.deltas.split(",")),
-        frequencies=tuple(int(v) for v in args.frequencies.split(",")),
+        n_coeffs_list=_parsed("nc_list", _ints, args.nc_list),
+        deltas=_parsed("deltas", _floats, args.deltas),
+        frequencies=_parsed("frequencies", _ints, args.frequencies),
         n_trials=args.trials,
         signal_len=args.signal_len,
         seed=args.seed,
@@ -368,7 +381,7 @@ def main(argv=None) -> int:
     except LayoutMismatch as exc:
         print(f"fdspoof: layout mismatch: {exc}", file=sys.stderr)
         return EXIT_LAYOUT
-    except FdspoofError as exc:
+    except (FdspoofError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"fdspoof: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive

@@ -320,6 +320,15 @@ def _divergences_batch(probs: np.ndarray, params: np.ndarray, base: int,
     return np.stack([js, renyi, tsallis, mse], axis=1)
 
 
+def fitted_divergences(probs: np.ndarray, base: int, alpha: float,
+                       epsilon: float) -> np.ndarray:
+    """(B, 4) divergence rows of a (B, base-1) pmf matrix against its fitted
+    curves, with every row fitted in one batch; row i equals the single-pmf
+    `divergences(pmf_i, fit_benford(pmf_i))` bit for bit."""
+    params, _, _ = fit_benford_batch(probs, base)
+    return _divergences_batch(probs, params, base, alpha, epsilon)
+
+
 def divergences(pmf: DigitPmf, fit: BenfordFit, alpha: float = 0.3,
                 epsilon: float = 1e-10) -> DivergenceSet:
     """Divergence set between a digit pmf and its fitted Benford curve."""
@@ -386,8 +395,7 @@ def _vectors_from_pmfs(all_pmfs: list[list[DigitPmf]], config: FdConfig) -> np.n
         probs = np.array(
             [rec[i].probabilities for rec in all_pmfs for i in cell_idx]
         )
-        params, _, _ = fit_benford_batch(probs, base)
-        divs = _divergences_batch(probs, params, base, config.alpha, config.epsilon)
+        divs = fitted_divergences(probs, base, config.alpha, config.epsilon)
         divs = divs.reshape(n_records, len(cell_idx), n_div)
         for j, i in enumerate(cell_idx):
             out[:, i * n_div : (i + 1) * n_div] = divs[:, j, :]

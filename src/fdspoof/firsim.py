@@ -19,15 +19,20 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 from scipy import signal as sp_signal
 
+from . import fd_features, parallel
 from .audio_io import AudioBuffer
 from .cepstral import CepstralConfig, mfcc
 from .exceptions import DesignFailure, FdspoofError, SettingError
-from .fd_features import digit_pmf, divergences, fit_benford
+# fit_benford and divergences are the single-pmf path, which a sweep no
+# longer calls; they stay bound here because the benchmark's tracer
+# (benchmark/tracer.py) wraps them by these names on this module.
+from .fd_features import digit_pmf, divergences, fit_benford  # noqa: F401
 
 REMEZ_MAX_ITER = 50
 SWEEP_BASE = 10
@@ -132,26 +137,25 @@ def apply_fir(buffer: AudioBuffer, coeffs: np.ndarray) -> AudioBuffer:
                        source_id=buffer.source_id + "+fir")
 
 
-def _trial_js(coeffs: np.ndarray, delta: float, frequency: int, trial_seed: int,
-              signal_len: int, cepstral_cfg: CepstralConfig, alpha: float,
-              epsilon: float, min_digits: int) -> float:
-    buffer = apply_fir(gaussian_source(signal_len, trial_seed), coeffs)
-    matrix = mfcc(buffer, cepstral_cfg)
-    column = matrix.values[:, matrix.frequencies.index(frequency)]
-    pmf = digit_pmf(column, delta, SWEEP_BASE, min_digits)
-    fit = fit_benford(pmf)
-    return divergences(pmf, fit, alpha, epsilon).js
-
-
-def _sweep_trial(args) -> tuple[int, float | None, str | None]:
-    (cell_index, coeffs, delta, freq, trial_seed, signal_len, cepstral_cfg,
-     alpha, epsilon, min_digits) = args
-    try:
-        js = _trial_js(coeffs, delta, freq, trial_seed, signal_len, cepstral_cfg,
-                       alpha, epsilon, min_digits)
-        return cell_index, js, None
-    except FdspoofError as exc:
-        return cell_index, None, f"{type(exc).__name__}: {exc}"
+def _sweep_chunk(trials, signal_len: int, cepstral_cfg: CepstralConfig, alpha: float,
+                 epsilon: float, min_digits: int) -> list[float | str]:
+    """js of every (coeffs, delta, frequency, seed) trial, or the text of the
+    error that stopped it; the chunk's pmfs share one batched fit."""
+    outcomes: list[int | str] = []  # a row of `pmfs`, or the error text
+    pmfs = []
+    for coeffs, delta, frequency, trial_seed in trials:
+        try:
+            buffer = apply_fir(gaussian_source(signal_len, trial_seed), coeffs)
+            matrix = mfcc(buffer, cepstral_cfg)
+            column = matrix.values[:, matrix.frequencies.index(frequency)]
+            pmfs.append(digit_pmf(column, delta, SWEEP_BASE, min_digits).probabilities)
+            outcomes.append(len(pmfs) - 1)
+        except FdspoofError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    if not pmfs:
+        return outcomes
+    js = fd_features.fitted_divergences(np.array(pmfs), SWEEP_BASE, alpha, epsilon)[:, 0]
+    return [o if isinstance(o, str) else float(js[o]) for o in outcomes]
 
 
 def divergence_sweep(
@@ -169,13 +173,25 @@ def divergence_sweep(
 ) -> SweepResult:
     """Mean and std of the fitted-vs-empirical js per (n_coeffs, delta, frequency).
 
-    Trial randomness derives from (seed, cell index, trial index), so results
-    are independent of scheduling and of `jobs`; a cell fails only if every
-    trial fails.
+    Trial randomness derives from (seed, cell index, trial index), and each
+    trial's fit is independent of the others in its batch, so results do not
+    depend on `jobs` or on how trials are chunked; a cell fails only if every
+    trial fails. Every setting is checked, as SettingError, before any trial
+    runs.
     """
+    cepstral_cfg = cepstral_cfg or CepstralConfig()
     if n_trials < 1:
         raise SettingError("n_trials must be >= 1")
-    cepstral_cfg = cepstral_cfg or CepstralConfig()
+    if signal_len < cepstral_cfg.frame_len:
+        raise SettingError(f"signal_len must be >= frame_len ({cepstral_cfg.frame_len})")
+    if any(d <= 0 for d in deltas):
+        raise SettingError("every quantization step must be > 0")
+    unknown = sorted(set(frequencies) - set(cepstral_cfg.frequencies))
+    if unknown:
+        raise SettingError(
+            f"frequencies {unknown} are not kept coefficients "
+            f"({cepstral_cfg.coeff_lo}..{cepstral_cfg.coeff_hi})"
+        )
     cells = [
         (delta, freq, nc)
         for delta in sorted(deltas)
@@ -183,29 +199,25 @@ def divergence_sweep(
         for nc in sorted(n_coeffs_list)
     ]
     designs = {nc: design_fir(FirDesignSpec(n_coeffs=nc)) for nc in sorted(n_coeffs_list)}
-    tasks = []
-    for cell_index, (delta, freq, nc) in enumerate(cells):
-        for trial in range(n_trials):
-            trial_seed = int(
-                np.random.SeedSequence([seed, cell_index, trial]).generate_state(1, np.uint64)[0]
-            )
-            tasks.append((cell_index, designs[nc], delta, freq, trial_seed, signal_len,
-                          cepstral_cfg, alpha, epsilon, min_digits))
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_sweep_trial, tasks, chunksize=1))
-    else:
-        outcomes = [_sweep_trial(t) for t in tasks]
+    trials = [
+        (designs[nc], delta, freq,
+         int(np.random.SeedSequence([seed, cell_index, trial]).generate_state(1, np.uint64)[0]))
+        for cell_index, (delta, freq, nc) in enumerate(cells)
+        for trial in range(n_trials)
+    ]
+    outcomes = parallel.map_chunks(
+        partial(_sweep_chunk, signal_len=signal_len, cepstral_cfg=cepstral_cfg,
+                alpha=alpha, epsilon=epsilon, min_digits=min_digits),
+        trials, jobs,
+    )
 
     rows = []
     for cell_index, (delta, freq, nc) in enumerate(cells):
-        values = [js for idx, js, _ in outcomes if idx == cell_index and js is not None]
+        cell = outcomes[cell_index * n_trials : (cell_index + 1) * n_trials]
+        values = [js for js in cell if not isinstance(js, str)]
         if not values:
-            errors = [err for idx, _, err in outcomes if idx == cell_index]
             raise FdspoofError(
-                f"every trial failed for cell (Nc={nc}, delta={delta:g}, f={freq}): {errors[-1]}"
+                f"every trial failed for cell (Nc={nc}, delta={delta:g}, f={freq}): {cell[-1]}"
             )
         mean = float(np.mean(values))
         std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -169,12 +171,26 @@ class TestBuildDataset:
             write_feature_csv(tmp_path / f"{run}.csv", dataset, layout)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_jobs_do_not_change_output(self, toy_corpus):
+    def test_jobs_do_not_change_output(self, toy_corpus, tmp_path):
+        # seven records split 7 / 4+3 / 3+3+1 at jobs 1 / 2 / 3, and the
+        # all-zero clip sorted into the middle of them is skipped
         audio_dir, entries = toy_corpus
-        serial, _ = build_dataset(entries, audio_dir, SegmentKind.FULL, jobs=1)
-        parallel, _ = build_dataset(entries, audio_dir, SegmentKind.FULL, jobs=2)
-        assert np.array_equal(serial.features, parallel.features)
-        assert serial.record_ids == parallel.record_ids
+        for entry in entries:
+            shutil.copy(audio_dir / f"{entry.utterance_id}.wav", tmp_path)
+        silent = "LA_T_0000002z"
+        audio_io.write_wav(tmp_path / f"{silent}.wav",
+                           audio_io.AudioBuffer(np.zeros(32000), 16000, silent))
+        entries = entries + [ProtocolEntry("LA_0001", silent, None, "bonafide")]
+        runs = [build_dataset(entries, tmp_path, SegmentKind.FULL, jobs=jobs)
+                for jobs in (1, 2, 3)]
+        serial, skips = runs[0]
+        assert serial.n_records == 6
+        assert [(s.record_id, s.reason) for s in skips] == [(silent, "EmptySignal")]
+        for dataset, other_skips in runs[1:]:
+            assert np.array_equal(serial.features, dataset.features)
+            assert serial.record_ids == dataset.record_ids
+            assert serial.system_ids == dataset.system_ids
+            assert skips == other_skips
 
 
 class TestFeatureCsv:

@@ -245,6 +245,12 @@ class TestRejectedInput:
         (["extract"], "alpha=2\n", "alpha must lie in (0, 1)"),
         (["train", "--n-trees", "0"], None, "n_trees must be >= 1"),
         (["simulate", "--trials", "0"], None, "n_trials must be >= 1"),
+        (["simulate", "--nc-list", "x"], None, "nc_list: invalid literal"),
+        (["simulate", "--deltas", "0"], None, "every quantization step must be > 0"),
+        (["simulate", "--signal-len", "0"], None, "signal_len must be >= frame_len"),
+        (["simulate", "--frequencies", "99"], None, "frequencies [99] are not kept"),
+        (["simulate", "--jobs", "0"], None, "jobs must be >= 1"),
+        (["extract", "--jobs", "0"], None, "jobs must be >= 1"),
     ])
     def test_rejected_setting_is_usage_error(self, extracted, cli_corpus, tmp_path, capsys,
                                              argv, config, message):
@@ -332,3 +338,14 @@ class TestRejectedInput:
         model = tmp_path / "model.json"
         model.write_text(text)
         assert self.evaluate(model, features, tmp_path) == 2
+
+    def test_missing_model_file_exits_2(self, extracted, tmp_path, capsys):
+        _, features = extracted
+        assert self.evaluate(tmp_path / "missing.json", features, tmp_path) == 2
+        assert "FileNotFoundError" in capsys.readouterr().err
+
+    def test_missing_audio_file_exits_2(self, tmp_path, capsys):
+        code = cli.main(["segment-report", "--audio", str(tmp_path / "missing.wav"),
+                         "--out", str(tmp_path / "windows.csv")])
+        assert code == 2
+        assert "FileNotFoundError" in capsys.readouterr().err

@@ -1,12 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
+from fdspoof import firsim
 from fdspoof.audio_io import AudioBuffer
-from fdspoof.exceptions import DesignFailure
-from fdspoof.fd_features import digit_pmf
+from fdspoof.cepstral import mfcc
+from fdspoof.exceptions import DesignFailure, FdspoofError, InsufficientDigits, SettingError
+from fdspoof.fd_features import digit_pmf, divergences, fit_benford
 from fdspoof.firsim import (
     FirDesignSpec,
+    SweepRow,
     apply_fir,
     design_fir,
     divergence_sweep,
@@ -135,7 +140,59 @@ class TestApplyFir:
         assert np.allclose(out.samples[:8], expected, atol=1e-12)
 
 
+def trial_seed(seed, cell_index, trial):
+    return int(np.random.SeedSequence([seed, cell_index, trial]).generate_state(1, np.uint64)[0])
+
+
+def scalar_sweep(n_coeffs_list, deltas, frequencies, n_trials, signal_len, seed):
+    """The sweep one trial at a time through the single-pmf fit: the oracle
+    for the batched sweep. Trial errors are skipped as the sweep skips them."""
+    rows = []
+    cells = [(d, f, nc) for d in sorted(deltas) for f in sorted(frequencies)
+             for nc in sorted(n_coeffs_list)]
+    for cell_index, (delta, freq, nc) in enumerate(cells):
+        coeffs = design_fir(FirDesignSpec(n_coeffs=nc))
+        values = []
+        for trial in range(n_trials):
+            source = firsim.gaussian_source(signal_len, trial_seed(seed, cell_index, trial))
+            buffer = apply_fir(source, coeffs)
+            matrix = mfcc(buffer)
+            column = matrix.values[:, matrix.frequencies.index(freq)]
+            try:
+                pmf = firsim.digit_pmf(column, delta, firsim.SWEEP_BASE)
+            except FdspoofError:
+                continue
+            values.append(divergences(pmf, fit_benford(pmf)).js)
+        std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+        rows.append(SweepRow(nc, float(delta), freq, float(np.mean(values)), std, len(values)))
+    return tuple(rows)
+
+
+@pytest.fixture
+def failing_seeds(monkeypatch):
+    """Make `firsim.digit_pmf` raise InsufficientDigits, naming the trial
+    seed, for every trial whose seed is added to the returned set."""
+    seeds = set()
+    current = []
+
+    def source(n_samples, seed, *args, **kwargs):
+        current[:] = [seed]
+        return gaussian_source(n_samples, seed, *args, **kwargs)
+
+    def pmf(*args, **kwargs):
+        if current[0] in seeds:
+            raise InsufficientDigits(f"probe seed {current[0]}")
+        return digit_pmf(*args, **kwargs)
+
+    monkeypatch.setattr(firsim, "gaussian_source", source)
+    monkeypatch.setattr(firsim, "digit_pmf", pmf)
+    return seeds
+
+
 class TestSweep:
+    SMALL = dict(n_coeffs_list=(8, 32), deltas=(0.01,), frequencies=(2, 3), n_trials=3,
+                 signal_len=1 << 14, seed=11)
+
     def test_deterministic_and_jobs_invariant(self, tmp_path):
         kwargs = dict(n_coeffs_list=(8,), deltas=(0.01,), frequencies=(2,),
                       n_trials=2, signal_len=1 << 15, seed=11)
@@ -146,6 +203,48 @@ class TestSweep:
         write_sweep_csv(tmp_path / "a.csv", a)
         write_sweep_csv(tmp_path / "b.csv", c)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_batched_equals_scalar_path_at_any_jobs(self, tmp_path):
+        # 12 trials run as chunks of 12, 6 and 4: jobs 3 splits cells of 3 trials
+        expected = scalar_sweep(**self.SMALL)
+        paths = []
+        for jobs in (1, 2, 3):
+            result = divergence_sweep(**self.SMALL, jobs=jobs)
+            assert result.rows == expected
+            paths.append(tmp_path / f"jobs{jobs}.csv")
+            write_sweep_csv(paths[-1], result)
+        assert len({p.read_bytes() for p in paths}) == 1
+
+    def test_failed_trial_leaves_the_rest_of_its_batch(self, failing_seeds):
+        kwargs = dict(self.SMALL, frequencies=(2,))
+        failing_seeds.add(trial_seed(kwargs["seed"], 1, 1))
+        result = divergence_sweep(**kwargs)
+        assert [r.n_trials for r in result.rows] == [3, 2]
+        assert result.rows == scalar_sweep(**kwargs)
+
+    def test_cell_with_every_trial_failed_reports_the_last_error(self, failing_seeds):
+        kwargs = dict(self.SMALL, frequencies=(2,))
+        failing_seeds.update(trial_seed(kwargs["seed"], 0, t) for t in range(3))
+        last = trial_seed(kwargs["seed"], 0, 2)
+        message = f"(Nc=8, delta=0.01, f=2): InsufficientDigits: probe seed {last}"
+        with pytest.raises(FdspoofError, match=re.escape(message)):
+            divergence_sweep(**kwargs)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(n_trials=0), "n_trials must be >= 1"),
+        (dict(deltas=(0.01, 0.0)), "every quantization step must be > 0"),
+        (dict(signal_len=1023), "signal_len must be >= frame_len (1024)"),
+        (dict(frequencies=(2, 99)), "frequencies [99] are not kept coefficients (2..14)"),
+        (dict(n_coeffs_list=(8, 2)), "n_coeffs must be >= 3"),
+        (dict(jobs=0), "jobs must be >= 1"),
+    ])
+    def test_settings_rejected_before_any_trial(self, monkeypatch, change, message):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(firsim, "gaussian_source", no_trial)
+        with pytest.raises(SettingError, match=re.escape(message)):
+            divergence_sweep(**{**self.SMALL, **change})
 
     def test_row_order_and_counts(self):
         result = divergence_sweep(n_coeffs_list=(16, 8), deltas=(0.01, 0.008),
