@@ -73,8 +73,14 @@ class EvaluationReport:
 
 def parse_protocol(path: str | Path) -> list[ProtocolEntry]:
     """Parse an ASVSpoof 2019 LA style protocol file."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"line {lineno}: not UTF-8 text: {exc.reason}") from None
     entries = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split()
@@ -165,10 +171,10 @@ def _extract_chunk(
     cepstral_cfg: CepstralConfig,
     fd_cfg: FdConfig,
     energy_cfg: EnergyConfig,
-) -> list[np.ndarray | SkipRecord]:
-    """Feature row or skip record of every path, in order; the chunk's
-    records share one batched fit per base."""
-    outcomes: list[np.ndarray | SkipRecord | None] = [None] * len(paths)
+) -> list[tuple[np.ndarray, int] | SkipRecord]:
+    """(feature row, number of capped fits) or skip record of every path, in
+    order; the chunk's records share one batched fit per base."""
+    outcomes: list[tuple[np.ndarray, int] | SkipRecord | None] = [None] * len(paths)
     matrices, kept = [], []
     for i, path in enumerate(paths):
         try:
@@ -181,7 +187,7 @@ def _extract_chunk(
         outcomes[kept[idx]] = _skip(paths[kept[idx]].stem, exc)
     for i, vector in zip(kept, vectors):
         if vector is not None:
-            outcomes[i] = vector.values
+            outcomes[i] = (vector.values, vector.capped_fits)
     return outcomes
 
 
@@ -193,12 +199,14 @@ def build_dataset(
     fd_cfg: FdConfig | None = None,
     energy_cfg: EnergyConfig | None = None,
     jobs: int = 1,
-) -> tuple[LabeledDataset, list[SkipRecord]]:
+) -> tuple[LabeledDataset, list[SkipRecord], int]:
     """Extract the divergence features of every protocol entry.
 
     Records run decode-to-features in contiguous chunks (`parallel.map_chunks`
     over `jobs` processes). Rows are sorted by record id; skipped records are
-    reported with reasons. SettingError if `jobs < 1`.
+    reported with reasons. Returns (dataset, skips, capped fits): the last is
+    the number of kept records' cell fits that hit the iteration cap.
+    SettingError if `jobs < 1`.
     """
     cepstral_cfg = cepstral_cfg or CepstralConfig()
     fd_cfg = fd_cfg or FdConfig()
@@ -222,7 +230,8 @@ def build_dataset(
                    key=lambda skip: skip.record_id)
     rows = [(e, o) for e, o in zip(ordered, outcomes) if not isinstance(o, SkipRecord)]
     layout = fd_features.feature_layout(fd_cfg, cepstral_cfg.frequencies)
-    features = np.array([v for _, v in rows]) if rows else np.zeros((0, len(layout)))
+    features = (np.array([values for _, (values, _) in rows]) if rows
+                else np.zeros((0, len(layout))))
     dataset = LabeledDataset(
         features=features,
         labels=np.array([0 if e.key == "bonafide" else 1 for e, _ in rows], dtype=np.int64),
@@ -230,18 +239,21 @@ def build_dataset(
         layout_hash=fd_features.layout_hash(layout),
         system_ids=tuple(e.system_id or BONAFIDE_MARK for e, _ in rows),
     )
-    return dataset, skips
+    return dataset, skips, sum(capped for _, (_, capped) in rows)
 
 
 # ---------------------------------------------------------------------------
 # feature CSV interchange
 # ---------------------------------------------------------------------------
 
+_ID_COLUMNS = ("record_id", "label", "system_id")
+
+
 def write_feature_csv(path: str | Path, dataset: LabeledDataset,
                       layout: tuple[FeatureDescriptor, ...]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["record_id", "label", "system_id", *(d.name for d in layout)])
+        writer.writerow([*_ID_COLUMNS, *(d.name for d in layout)])
         for i in range(dataset.n_records):
             system = dataset.system_ids[i] if dataset.system_ids else BONAFIDE_MARK
             writer.writerow(
@@ -250,21 +262,46 @@ def write_feature_csv(path: str | Path, dataset: LabeledDataset,
             )
 
 
+def _decoded_lines(path: str | Path, fh):
+    """The lines of a binary file as UTF-8 text; ParseError, with file:line,
+    for a line that does not decode."""
+    for lineno, raw in enumerate(fh, start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from None
+
+
+def _csv_rows(path: str | Path, fh):
+    """(line number, fields) of every CSV record of a binary file; ParseError,
+    with file:line, for a line that does not decode or a record the reader
+    rejects."""
+    reader = csv.reader(_decoded_lines(path, fh))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def read_feature_csv(path: str | Path) -> tuple[LabeledDataset, tuple[FeatureDescriptor, ...]]:
-    """Read a feature CSV; ParseError, with file:line, on an unparsable column
-    name, a ragged row, a label outside {0, 1} or a non-finite value."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    """Read a feature CSV; ParseError, with file:line, on undecodable bytes, a
+    header without the three id columns, an unparsable column name, a ragged
+    row, a label outside {0, 1} or a non-finite value."""
+    with open(path, "rb") as fh:
+        rows_of = _csv_rows(path, fh)
+        _, header = next(rows_of, (1, None))
         if header is None:
             raise ParseError(f"{path}:1: empty feature file")
+        if header[:3] != list(_ID_COLUMNS):
+            raise ParseError(f"{path}:1: header must start with {','.join(_ID_COLUMNS)}")
         try:
             layout = tuple(fd_features.parse_feature_name(name) for name in header[3:])
         except ValueError as exc:
             raise ParseError(f"{path}:1: {exc}") from None
         ids, labels, systems, rows, lines = [], [], [], [], []
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
+        for line_num, row in rows_of:
+            where = f"{path}:{line_num}"
             if len(row) != len(header):
                 raise ParseError(f"{where}: expected {len(header)} fields, got {len(row)}")
             try:
@@ -277,7 +314,7 @@ def read_feature_csv(path: str | Path) -> tuple[LabeledDataset, tuple[FeatureDes
             ids.append(row[0])
             labels.append(label)
             systems.append(row[2])
-            lines.append(reader.line_num)
+            lines.append(line_num)
     features = np.array(rows) if rows else np.zeros((0, len(layout)))
     bad = np.nonzero(~np.isfinite(features).all(axis=1))[0]
     if bad.size:

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__, asvspoof, audio_io, firsim, segmentation
 from .cepstral import CepstralConfig
 from .exceptions import FdspoofError, LayoutMismatch, SettingError
-from .fd_features import FdConfig, feature_layout
+from .fd_features import DIVERGENCE_NAMES, FdConfig, feature_layout
 from .forest import (
     CRITERIA,
     DEFAULT_GRID_TREES,
@@ -167,7 +167,7 @@ def cmd_extract(args) -> int:
     if args.balance_seed is not None:
         entries = asvspoof.balance_training(entries, args.balance_seed)
     kind = SegmentKind(args.segment)
-    dataset, skips = asvspoof.build_dataset(
+    dataset, skips, capped = asvspoof.build_dataset(
         entries, args.audio_root, kind, cep, fd, energy, jobs=args.jobs
     )
     layout = feature_layout(fd, cep.frequencies)
@@ -181,7 +181,9 @@ def cmd_extract(args) -> int:
         "".join(f"{k}={v}\n" for k, v in sorted(meta.items()))
     )
     write_manifest(out, "extract", meta, [Path(args.protocol)], seed=args.balance_seed)
-    print(f"extract: {dataset.n_records} records, {len(skips)} skipped -> {out}")
+    fits = dataset.n_records * len(layout) // len(DIVERGENCE_NAMES)
+    print(f"extract: {dataset.n_records} records, {len(skips)} skipped, "
+          f"{capped} of {fits} fits hit the iteration cap -> {out}")
     return EXIT_OK
 
 

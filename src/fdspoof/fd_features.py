@@ -6,13 +6,18 @@ three-parameter generalized Benford curve beta*log_b(1 + 1/(gamma + d^delta)),
 and emit four divergences between the empirical pmf and the fitted curve
 (symmetrized KL, Renyi, Tsallis, mean square error).
 
-The curve fit is a standard Nelder-Mead simplex descent started at the exact
-Benford point (1, 0, 1), capped at 2000 iterations, declared converged when the
-simplex diameter drops below 1e-9. Steps that would violate gamma + d^delta > 0
-evaluate to +inf and are therefore never accepted. A non-convergent fit keeps
-the initial point and is flagged instead of aborting the record. The fitter
-runs many cells in lockstep as one vectorized batch; per-problem arithmetic is
-row-independent, so batch composition cannot change any result.
+The curve fit projects beta out (variable projection): beta enters the curve
+linearly, so at every (gamma, delta_exp) it takes its least-squares value
+<p,g>/<g,g>, where g is the curve's shape log_b(1 + 1/(gamma + d^delta)).
+A Nelder-Mead simplex then searches the two remaining parameters, starting at
+the Benford point (gamma, delta_exp) = (0, 1). A fit stops when the simplex
+diameter is at most 1e-6 or the spread of its three values is at most
+1e-6 * f_best + 1e-12. It is capped at 2000 iterations, and it always reports
+its best vertex and that vertex's residual; converged=False only means that
+the cap was hit. Points that violate gamma + d^delta > 0 evaluate to +inf and
+are therefore never accepted. The fitter runs many cells in lockstep as one
+vectorized batch; per-problem arithmetic is row-independent, so batch
+composition cannot change any result.
 """
 
 from __future__ import annotations
@@ -28,9 +33,11 @@ from .exceptions import DomainError, InsufficientDigits, SettingError, ZeroValue
 
 DIVERGENCE_NAMES = ("js", "renyi", "tsallis", "mse")
 
-FIT_INITIAL_POINT = (1.0, 0.0, 1.0)
+FIT_START = (0.0, 1.0)  # (gamma, delta_exp) of the Benford curve; beta is projected
 FIT_MAX_ITER = 2000
-FIT_DIAMETER_TOL = 1e-9
+FIT_X_TOL = 1e-6  # stop once the simplex diameter is this small ...
+FIT_F_TOL = 1e-6  # ... or its f-spread is at most FIT_F_TOL * f_best + FIT_F_TOL_ABS
+FIT_F_TOL_ABS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -90,6 +97,7 @@ class FeatureDescriptor:
 class FeatureVector:
     values: np.ndarray
     layout: tuple[FeatureDescriptor, ...]
+    capped_fits: int = 0  # cells whose curve fit hit the iteration cap
 
 
 # ---------------------------------------------------------------------------
@@ -158,115 +166,115 @@ def benford_ideal(d, base: int, beta: float, gamma: float, delta_exp: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _curve_batch(params: np.ndarray, digits: np.ndarray, ln_base: float) -> np.ndarray:
-    """Evaluate the curve for a (B, 3) parameter batch; +inf-safe, (B, D)."""
+def _shape_batch(shape: np.ndarray, ln_digits: np.ndarray, ln_base: float) -> np.ndarray:
+    """log_b(1 + 1/(gamma + d^delta)) for (..., 2) points (gamma, delta_exp),
+    with d^delta = exp(delta * ln d); (..., D), nan where gamma + d^delta <= 0."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        t = params[:, 1:2] + digits[None, :] ** params[:, 2:3]
-        q = params[:, 0:1] * np.log1p(1.0 / t) / ln_base
-    return np.where(t > 0.0, q, np.nan)
+        t = shape[..., 0:1] + np.exp(shape[..., 1:2] * ln_digits)
+        g = np.log1p(1.0 / t) / ln_base
+    return np.where(t > 0.0, g, np.nan)
 
 
-def _objective_batch(params: np.ndarray, probs: np.ndarray, digits: np.ndarray,
-                     ln_base: float) -> np.ndarray:
-    """Mean squared error of the curve per problem; +inf where it is not finite,
-    which includes every problem with gamma + d^delta <= 0 at some digit."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.mean((_curve_batch(params, digits, ln_base) - probs) ** 2, axis=1)
-    return np.where(np.isfinite(residual), residual, np.inf)
+def _curve_batch(params: np.ndarray, ln_digits: np.ndarray, ln_base: float) -> np.ndarray:
+    """The curve beta * shape for a (B, 3) parameter batch; (B, D)."""
+    return params[:, 0:1] * _shape_batch(params[:, 1:], ln_digits, ln_base)
+
+
+def _projected_batch(shape: np.ndarray, probs: np.ndarray, ln_digits: np.ndarray,
+                     ln_base: float) -> tuple[np.ndarray, np.ndarray]:
+    """(beta, mse), each (B, K), for (B, K, 2) shape points against (B, D)
+    pmfs: beta = <p,g>/<g,g> is the least-squares scale of the shape g, and
+    mse that of beta*g - p, +inf where it is not finite (which includes every
+    point with gamma + d^delta <= 0 at some digit)."""
+    g = _shape_batch(shape, ln_digits, ln_base)
+    p = probs[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        beta = np.sum(p * g, axis=-1) / np.sum(g * g, axis=-1)
+        mse = np.mean((beta[..., None] * g - p) ** 2, axis=-1)
+    return beta, np.where(np.isfinite(mse), mse, np.inf)
+
+
+# Nelder-Mead trial points centroid + c * (centroid - worst): reflection,
+# expansion, outside and inside contraction (the standard coefficients)
+_TRIAL_STEPS = np.array([1.0, 2.0, 0.5, -0.5])
+_SHRINK = 0.5
 
 
 def fit_benford_batch(probs: np.ndarray, base: int,
-                      max_iter: int = FIT_MAX_ITER,
-                      diam_tol: float = FIT_DIAMETER_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                      max_iter: int = FIT_MAX_ITER) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nelder-Mead fit of each row of a (B, base-1) pmf matrix.
 
-    Returns (params (B,3), residual (B,), converged (B,)). Problems that do not
-    converge within the iteration cap report the initial point (1, 0, 1) and
-    its residual, flagged converged=False.
+    The simplex moves in (gamma, delta_exp) only; beta is projected out in
+    closed form at every point. Returns (params (B,3), residual (B,),
+    converged (B,)): each row's best vertex with its beta and mse, and
+    converged=False where the row hit the iteration cap.
     """
     probs = np.ascontiguousarray(probs, dtype=np.float64)
     if probs.ndim == 1:
         probs = probs[None, :]
     n_prob = probs.shape[0]
-    digits = np.arange(1, base, dtype=np.float64)
+    ln_digits = np.log(np.arange(1, base, dtype=np.float64))
     ln_base = math.log(base)
 
-    x0 = np.array(FIT_INITIAL_POINT)
+    x0 = np.array(FIT_START)
     # scipy-style initial simplex: 5% step per coordinate, 0.00025 where zero
-    sim0 = np.tile(x0, (4, 1))
-    for i in range(3):
+    sim0 = np.tile(x0, (3, 1))
+    for i in range(2):
         sim0[i + 1, i] = x0[i] * 1.05 if x0[i] != 0.0 else 0.00025
+    sim = np.tile(sim0, (n_prob, 1, 1))
+    fv = _projected_batch(sim, probs, ln_digits, ln_base)[1]
 
-    sim = np.tile(sim0[None, :, :], (n_prob, 1, 1))
-    fv = np.stack(
-        [_objective_batch(sim[:, v, :], probs, digits, ln_base) for v in range(4)], axis=1
-    )
-
-    params = np.tile(x0, (n_prob, 1))
-    residual = fv[:, 0].copy()
+    params = np.empty((n_prob, 3))
+    residual = np.empty(n_prob)
     converged = np.zeros(n_prob, dtype=bool)
     # sim, fv and probs hold the active problems only, row-aligned with `active`
     active = np.arange(n_prob)
 
-    alpha, gamma_e, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    for _ in range(max_iter + 1):
+    for iteration in range(max_iter + 1):
         order = np.argsort(fv, axis=1, kind="stable")
-        sim = np.take_along_axis(sim, order[:, :, None], axis=1)
-        fv = np.take_along_axis(fv, order, axis=1)
+        by_row = np.arange(active.size)[:, None]
+        sim, fv = sim[by_row, order], fv[by_row, order]
 
         diam = np.max(np.abs(sim[:, 1:, :] - sim[:, :1, :]), axis=(1, 2))
-        done = diam < diam_tol
-        if done.any():
-            idx = active[done]
-            params[idx] = sim[done, 0, :]
-            residual[idx] = fv[done, 0]
-            converged[idx] = True
-            keep = ~done
+        spread = fv[:, 2] - fv[:, 0]
+        done = (diam <= FIT_X_TOL) | (spread <= FIT_F_TOL * fv[:, 0] + FIT_F_TOL_ABS)
+        finished = done if iteration < max_iter else np.ones(active.size, dtype=bool)
+        if finished.any():
+            idx = active[finished]
+            params[idx, 0] = _projected_batch(sim[finished, :1, :], probs[finished],
+                                              ln_digits, ln_base)[0][:, 0]
+            params[idx, 1:] = sim[finished, 0, :]
+            residual[idx] = fv[finished, 0]
+            converged[idx] = done[finished]
+            keep = ~finished
             sim, fv, probs, active = sim[keep], fv[keep], probs[keep], active[keep]
         if active.size == 0:
             break
 
-        centroid = sim[:, :3, :].mean(axis=1)
-        worst = sim[:, 3, :]
-        xr = centroid + alpha * (centroid - worst)
-        fr = _objective_batch(xr, probs, digits, ln_base)
-
-        f_best, f_second, f_worst = fv[:, 0], fv[:, 2], fv[:, 3]
-        new_x = xr.copy()
-        new_f = fr.copy()
-        shrink = np.zeros(active.size, dtype=bool)
-
-        expand_try = fr < f_best
-        if expand_try.any():
-            xe = centroid[expand_try] + gamma_e * (xr[expand_try] - centroid[expand_try])
-            fe = _objective_batch(xe, probs[expand_try], digits, ln_base)
-            better = fe < fr[expand_try]
-            rows = np.nonzero(expand_try)[0][better]
-            new_x[rows] = xe[better]
-            new_f[rows] = fe[better]
-
-        # contract towards the reflected point when it beats the worst vertex
-        # (accepted if no worse than it), else towards the worst vertex
-        # (accepted if strictly better than it); a rejected contraction shrinks
-        rows = np.nonzero(~expand_try & (fr >= f_second))[0]
-        if rows.size:
-            outside = fr[rows] < f_worst[rows]
-            target = np.where(outside[:, None], xr[rows], worst[rows])
-            xc = centroid[rows] + rho * (target - centroid[rows])
-            fc = _objective_batch(xc, probs[rows], digits, ln_base)
-            ok = np.where(outside, fc <= fr[rows], fc < f_worst[rows])
-            new_x[rows[ok]] = xc[ok]
-            new_f[rows[ok]] = fc[ok]
-            shrink[rows[~ok]] = True
-
-        replace = ~shrink
-        sim[replace, 3, :] = new_x[replace]
-        fv[replace, 3] = new_f[replace]
+        centroid = sim[:, :2, :].mean(axis=1)
+        trial = centroid[:, None, :] + _TRIAL_STEPS[:, None] * (centroid - sim[:, 2, :])[:, None, :]
+        ft = _projected_batch(trial, probs, ln_digits, ln_base)[1]
+        fr, fe, f_out, f_in = ft.T
+        f_best, f_second, f_worst = fv.T
+        # expand if the reflection beats the best vertex, keep the reflection
+        # if it beats the second-worst, else contract: outside when the
+        # reflection beats the worst vertex (accepted if no worse than the
+        # reflection), inside otherwise (accepted if better than the worst);
+        # -1 marks a rejected contraction, which shrinks the simplex
+        pick = np.where(
+            fr < f_best, np.where(fe < fr, 1, 0),
+            np.where(fr < f_second, 0,
+                     np.where(fr < f_worst, np.where(f_out <= fr, 2, -1),
+                              np.where(f_in < f_worst, 3, -1))))
+        shrink = pick < 0
+        pick = np.maximum(pick, 0)
+        rows = np.arange(active.size)
+        sim[:, 2, :] = np.where(shrink[:, None], sim[:, 2, :], trial[rows, pick])
+        fv[:, 2] = np.where(shrink, f_worst, ft[rows, pick])
         if shrink.any():
-            rows = np.nonzero(shrink)[0]
-            sim[rows, 1:, :] = sim[rows, :1, :] + sigma * (sim[rows, 1:, :] - sim[rows, :1, :])
-            for v in (1, 2, 3):
-                fv[rows, v] = _objective_batch(sim[rows, v, :], probs[rows], digits, ln_base)
+            s = np.nonzero(shrink)[0]
+            sim[s, 1:, :] = sim[s, :1, :] + _SHRINK * (sim[s, 1:, :] - sim[s, :1, :])
+            fv[s, 1:] = _projected_batch(sim[s, 1:, :], probs[s], ln_digits, ln_base)[1]
 
     return params, residual, converged
 
@@ -300,8 +308,8 @@ def _divergences_batch(probs: np.ndarray, params: np.ndarray, base: int,
     with 1 / (alpha - 1). The paper's abstract does not say which sign its Renyi
     term takes; this pinned formula is kept, so compare renyi by magnitude.
     """
-    digits = np.arange(1, base, dtype=np.float64)
-    q_raw = _curve_batch(params, digits, math.log(base))
+    ln_digits = np.log(np.arange(1, base, dtype=np.float64))
+    q_raw = _curve_batch(params, ln_digits, math.log(base))
     mse = np.mean((probs - q_raw) ** 2, axis=1)
 
     p = np.clip(probs, epsilon, None)
@@ -321,12 +329,13 @@ def _divergences_batch(probs: np.ndarray, params: np.ndarray, base: int,
 
 
 def fitted_divergences(probs: np.ndarray, base: int, alpha: float,
-                       epsilon: float) -> np.ndarray:
+                       epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """(B, 4) divergence rows of a (B, base-1) pmf matrix against its fitted
-    curves, with every row fitted in one batch; row i equals the single-pmf
-    `divergences(pmf_i, fit_benford(pmf_i))` bit for bit."""
-    params, _, _ = fit_benford_batch(probs, base)
-    return _divergences_batch(probs, params, base, alpha, epsilon)
+    curves, with every row fitted in one batch, and the (B,) converged mask of
+    the fits; row i equals the single-pmf `divergences(pmf_i, fit_benford(pmf_i))`
+    bit for bit."""
+    params, _, converged = fit_benford_batch(probs, base)
+    return _divergences_batch(probs, params, base, alpha, epsilon), converged
 
 
 def divergences(pmf: DigitPmf, fit: BenfordFit, alpha: float = 0.3,
@@ -382,31 +391,39 @@ def _cell_pmfs(matrix: CepstralMatrix, config: FdConfig) -> list[DigitPmf]:
     return pmfs
 
 
-def _vectors_from_pmfs(all_pmfs: list[list[DigitPmf]], config: FdConfig) -> np.ndarray:
-    """Fit and score every record's cell pmfs; one batched fit per base."""
+def _vectors_from_pmfs(all_pmfs: list[list[DigitPmf]],
+                       config: FdConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Fit and score every record's cell pmfs; one batched fit per base.
+
+    Returns the (records, features) matrix and, per record, the number of
+    cells whose fit hit the iteration cap.
+    """
     n_records = len(all_pmfs)
     if n_records == 0:
-        return np.zeros((0, 0))
+        return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
     n_cells = len(all_pmfs[0])
     n_div = len(DIVERGENCE_NAMES)
     out = np.empty((n_records, n_cells * n_div))
+    capped = np.zeros(n_records, dtype=np.int64)
     for base in config.bases:
         cell_idx = [i for i, pmf in enumerate(all_pmfs[0]) if pmf.base == base]
         probs = np.array(
             [rec[i].probabilities for rec in all_pmfs for i in cell_idx]
         )
-        divs = fitted_divergences(probs, base, config.alpha, config.epsilon)
+        divs, converged = fitted_divergences(probs, base, config.alpha, config.epsilon)
         divs = divs.reshape(n_records, len(cell_idx), n_div)
+        capped += np.count_nonzero(~converged.reshape(n_records, len(cell_idx)), axis=1)
         for j, i in enumerate(cell_idx):
             out[:, i * n_div : (i + 1) * n_div] = divs[:, j, :]
-    return out
+    return out, capped
 
 
 def assemble_features(matrix: CepstralMatrix, config: FdConfig = FdConfig()) -> FeatureVector:
     """Full divergence feature vector of one cepstral matrix (416 by default)."""
     pmfs = _cell_pmfs(matrix, config)
-    values = _vectors_from_pmfs([pmfs], config)[0]
-    return FeatureVector(values=values, layout=feature_layout(config, matrix.frequencies))
+    values, capped = _vectors_from_pmfs([pmfs], config)
+    return FeatureVector(values=values[0], layout=feature_layout(config, matrix.frequencies),
+                         capped_fits=int(capped[0]))
 
 
 def assemble_features_many(
@@ -431,7 +448,8 @@ def assemble_features_many(
             failures.append((idx, exc))
     results: list[FeatureVector | None] = [None] * (len(keep) + len(failures))
     if collected:
-        vectors = _vectors_from_pmfs(collected, config)
+        vectors, capped = _vectors_from_pmfs(collected, config)
         for row, idx in enumerate(keep):
-            results[idx] = FeatureVector(values=vectors[row], layout=layout)
+            results[idx] = FeatureVector(values=vectors[row], layout=layout,
+                                         capped_fits=int(capped[row]))
     return results, failures

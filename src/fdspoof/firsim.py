@@ -23,8 +23,9 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as sp_signal
 
+# scipy.signal is imported inside the functions that use it: importing it
+# takes about a second, and no command but `simulate` needs it.
 from . import fd_features, parallel
 from .audio_io import AudioBuffer
 from .cepstral import CepstralConfig, mfcc
@@ -76,6 +77,8 @@ def _kaiser_attenuation(spec: FirDesignSpec) -> float:
 
 
 def _kaiser_fallback(spec: FirDesignSpec) -> np.ndarray:
+    from scipy import signal as sp_signal
+
     atten = _kaiser_attenuation(spec)
     beta = 0.1102 * (atten - 8.7) if atten > 50 else 0.5842 * (atten - 21) ** 0.4 + 0.07886 * (atten - 21)
     cutoff = 0.5 * (spec.passband_edge + spec.stopband_edge)
@@ -89,6 +92,8 @@ def design_fir(spec: FirDesignSpec) -> np.ndarray:
     below double precision use the Kaiser fallback described in the module
     docstring.
     """
+    from scipy import signal as sp_signal
+
     try:
         coeffs = sp_signal.remez(
             spec.n_coeffs,
@@ -128,6 +133,8 @@ def gaussian_source(n_samples: int, seed, sample_rate: int = 16000) -> AudioBuff
 
 def apply_fir(buffer: AudioBuffer, coeffs: np.ndarray) -> AudioBuffer:
     """Full convolution truncated to the input length, re-peak-normalized."""
+    from scipy import signal as sp_signal
+
     out = sp_signal.convolve(buffer.samples, np.asarray(coeffs, dtype=np.float64),
                              mode="full")[: len(buffer)]
     peak = np.max(np.abs(out))
@@ -154,7 +161,8 @@ def _sweep_chunk(trials, signal_len: int, cepstral_cfg: CepstralConfig, alpha: f
             outcomes.append(f"{type(exc).__name__}: {exc}")
     if not pmfs:
         return outcomes
-    js = fd_features.fitted_divergences(np.array(pmfs), SWEEP_BASE, alpha, epsilon)[:, 0]
+    divs, _ = fd_features.fitted_divergences(np.array(pmfs), SWEEP_BASE, alpha, epsilon)
+    js = divs[:, 0]
     return [o if isinstance(o, str) else float(js[o]) for o in outcomes]
 
 

@@ -188,7 +188,7 @@ def test_criterion_9_end_to_end_separability(tmp_path):
                                    AudioBuffer(clip.samples, 16000, name))
                 entries.append(ProtocolEntry("S", name, system, key))
 
-        dataset, skips = build_dataset(entries, audio_dir, SegmentKind.FULL, jobs=2)
+        dataset, skips, _ = build_dataset(entries, audio_dir, SegmentKind.FULL, jobs=2)
         assert dataset.n_records + len(skips) == 400
 
         is_train = np.array([int(rid.split("_")[2]) < 140 for rid in dataset.record_ids])
@@ -259,11 +259,11 @@ def corpus_models():
         train_entries = asvspoof.balance_training(
             asvspoof.parse_protocol(protocols["train"]), seed=0
         )
-        train_ds, _ = build_dataset(train_entries, f"{root}/wav/train", kind, jobs=jobs)
-        dev_ds, _ = build_dataset(
+        train_ds, _, _ = build_dataset(train_entries, f"{root}/wav/train", kind, jobs=jobs)
+        dev_ds, _, _ = build_dataset(
             asvspoof.parse_protocol(protocols["dev"]), f"{root}/wav/dev", kind, jobs=jobs
         )
-        eval_ds, _ = build_dataset(
+        eval_ds, _, _ = build_dataset(
             asvspoof.parse_protocol(protocols["eval"]), f"{root}/wav/eval", kind, jobs=jobs
         )
         data[kind] = (train_ds, dev_ds, eval_ds)

@@ -49,6 +49,12 @@ class TestParseProtocol:
         with pytest.raises(ParseError, match="line 2"):
             parse_protocol(path)
 
+    def test_undecodable_line_has_number(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_bytes(b"LA_0079 LA_T_1138215 - - bonafide\nLA_0080 LA_T_\x80 - - bonafide\n")
+        with pytest.raises(ParseError, match="line 2: not UTF-8"):
+            parse_protocol(path)
+
     def test_unknown_system_preserved(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("S U - A99 spoof\n")
@@ -133,13 +139,13 @@ def toy_corpus(tmp_path_factory):
 class TestBuildDataset:
     def test_empty_entry_list(self, toy_corpus):
         audio_dir, _ = toy_corpus
-        dataset, skips = build_dataset([], audio_dir, SegmentKind.FULL)
+        dataset, skips, _ = build_dataset([], audio_dir, SegmentKind.FULL)
         assert dataset.n_records == 0
         assert skips == []
 
     def test_full_segment_features(self, toy_corpus):
         audio_dir, entries = toy_corpus
-        dataset, skips = build_dataset(entries, audio_dir, SegmentKind.FULL)
+        dataset, skips, _ = build_dataset(entries, audio_dir, SegmentKind.FULL)
         assert dataset.n_records == 6
         assert skips == []
         assert dataset.features.shape == (6, 416)
@@ -156,7 +162,7 @@ class TestBuildDataset:
     def test_silence_on_voiced_corpus_skips_with_reason(self, toy_corpus):
         audio_dir, entries = toy_corpus
         # filtered noise clips are voiced throughout: no interior silence
-        dataset, skips = build_dataset(entries[:2], audio_dir, SegmentKind.SILENCE)
+        dataset, skips, _ = build_dataset(entries[:2], audio_dir, SegmentKind.SILENCE)
         assert dataset.n_records == 0
         assert len(skips) == 2
         assert {s.reason for s in skips} == {"InsufficientData"}
@@ -166,7 +172,7 @@ class TestBuildDataset:
         audio_dir, entries = toy_corpus
         cfg = FdConfig()
         for run in ("a", "b"):
-            dataset, _ = build_dataset(entries, audio_dir, SegmentKind.FULL, fd_cfg=cfg)
+            dataset, _, _ = build_dataset(entries, audio_dir, SegmentKind.FULL, fd_cfg=cfg)
             layout = feature_layout(cfg, tuple(range(2, 15)))
             write_feature_csv(tmp_path / f"{run}.csv", dataset, layout)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -183,14 +189,15 @@ class TestBuildDataset:
         entries = entries + [ProtocolEntry("LA_0001", silent, None, "bonafide")]
         runs = [build_dataset(entries, tmp_path, SegmentKind.FULL, jobs=jobs)
                 for jobs in (1, 2, 3)]
-        serial, skips = runs[0]
+        serial, skips, capped = runs[0]
         assert serial.n_records == 6
         assert [(s.record_id, s.reason) for s in skips] == [(silent, "EmptySignal")]
-        for dataset, other_skips in runs[1:]:
+        for dataset, other_skips, other_capped in runs[1:]:
             assert np.array_equal(serial.features, dataset.features)
             assert serial.record_ids == dataset.record_ids
             assert serial.system_ids == dataset.system_ids
             assert skips == other_skips
+            assert capped == other_capped
 
 
 class TestFeatureCsv:

@@ -9,7 +9,7 @@ import pytest
 
 import fdspoof
 from conftest import make_filtered_clip
-from fdspoof import audio_io, cli
+from fdspoof import audio_io, cli, fd_features
 from fdspoof.asvspoof import write_feature_csv
 from fdspoof.fd_features import FdConfig, feature_layout, layout_hash
 from fdspoof.forest import LabeledDataset
@@ -113,6 +113,39 @@ class TestExtract:
         manifest = json.loads(open(str(out) + ".manifest.json").read())
         assert manifest["config"]["bases"] == [10]
         assert manifest["config"]["deltas"] == [1.0, 2.0]
+
+    def test_summary_counts_capped_fits_outside_the_outputs(self, cli_corpus, tmp_path,
+                                                            capsys, monkeypatch):
+        root, protocol, audio_dir = cli_corpus
+        argv = ["extract", "--protocol", str(protocol), "--audio-root", str(audio_dir),
+                "--segment", "full"]
+        assert cli.main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+        summary = capsys.readouterr().out
+        capped = int(summary.split(" skipped, ")[1].split(" of ")[0])
+        assert 0 <= capped < 624 // 20
+        assert "of 624 fits hit the iteration cap" in summary
+
+        # with a one-iteration cap every fit is capped; the outputs do not say so
+        fit = fd_features.fit_benford_batch
+        monkeypatch.setattr(fd_features, "fit_benford_batch",
+                            lambda probs, base: fit(probs, base, max_iter=1))
+        assert cli.main(argv + ["--out", str(tmp_path / "b.csv")]) == 0
+        assert "624 of 624 fits hit the iteration cap" in capsys.readouterr().out
+        for suffix in (".meta.txt", ".manifest.json", ".skips.csv"):
+            a = Path(str(tmp_path / "a.csv") + suffix).read_bytes()
+            assert a == Path(str(tmp_path / "b.csv") + suffix).read_bytes()
+            assert b"cap" not in a
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        src = str(Path(fdspoof.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, fdspoof.cli; print('scipy.signal' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.stdout.strip() == "False", done.stderr
 
 
 class TestTrainEvaluate:
@@ -269,7 +302,8 @@ class TestRejectedInput:
         assert cli.main(argv + required) == 64
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("probe", ["ragged_row", "bad_column_name", "non_finite", "label_7"])
+    @pytest.mark.parametrize("probe", ["ragged_row", "bad_column_name", "non_finite", "label_7",
+                                       "undecodable", "short_header"])
     def test_malformed_feature_csv_exits_2(self, extracted, tmp_path, capsys, probe):
         _, features = extracted
         lines = features.read_text().splitlines()
@@ -280,16 +314,20 @@ class TestRejectedInput:
             lines[0] = lines[0].replace("js_f2_b10_d1", "js_fx_b10_d1")
         elif probe == "non_finite":
             lines[2] = ",".join(fields[:5] + ["nan"] + fields[6:])
+        elif probe == "undecodable":
+            lines[2] = "\x80" + lines[2]  # written as 0x80, a lone UTF-8 continuation byte
+        elif probe == "short_header":
+            lines = [line.split(",")[0] for line in lines]
         else:
             lines[2] = ",".join(fields[:1] + ["7"] + fields[2:])
         bad = tmp_path / "bad.csv"
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
         code = cli.main([
             "train", "--train-features", str(bad), "--dev-features", str(features),
             "--model-out", str(tmp_path / "m.json"), "--n-trees", "2", "--criterion", "gini",
         ])
         assert code == 2
-        line = 1 if probe == "bad_column_name" else 3
+        line = 1 if probe in ("bad_column_name", "short_header") else 3
         assert f"{bad}:{line}:" in capsys.readouterr().err
 
     def model_for(self, features, tmp_path, **nodes):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fdspoof import fd_features as fd
 from fdspoof.cepstral import CepstralMatrix
@@ -167,6 +167,48 @@ class TestFitBenford:
             fit = fd.fit_benford(fd.DigitPmf(10, probs, 100))
             d = np.arange(1, 10, dtype=float)
             assert np.all(fit.gamma + d ** fit.delta_exp > 0)
+
+    @pytest.mark.parametrize("base", [10, 20])
+    def test_spike_at_digit_one_converges(self, base):
+        # the family reaches a one-digit pmf at digit 1 only as delta -> inf
+        probs = np.zeros(base - 1)
+        probs[0] = 1.0
+        pmf = fd.DigitPmf(base, probs, 100)
+        fit = fd.fit_benford(pmf)
+        assert fit.converged
+        assert fd.divergences(pmf, fit).js < 1e-6
+
+    @pytest.mark.parametrize("base", [10, 20])
+    def test_dirichlet_pmfs_converge(self, base):
+        rng = np.random.default_rng(13)
+        probs = np.vstack([rng.dirichlet(np.full(base - 1, c), size=200)
+                           for c in (0.1, 0.5, 1.0, 5.0)])
+        params, residual, converged = fd.fit_benford_batch(probs, base)
+        assert np.mean(converged) >= 0.95
+        for i in range(0, len(probs), 97):
+            alone = fd.fit_benford_batch(probs[i], base)
+            assert np.array_equal(alone[0][0], params[i])
+            assert alone[1][0] == residual[i]
+            assert alone[2][0] == converged[i]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([3, 10, 20]).flatmap(
+        lambda base: st.tuples(st.just(base), st.lists(
+            st.floats(0.0, 1.0), min_size=base - 1, max_size=base - 1
+        ).filter(lambda w: sum(w) > 0.0))))
+    def test_fit_is_feasible_and_no_worse_than_benford(self, case):
+        base, weights = case
+        probs = np.array(weights) / sum(weights)
+        pmf = fd.DigitPmf(base, probs, 100)
+        fit = fd.fit_benford(pmf)
+        d = np.arange(1, base, dtype=float)
+        assert np.isfinite([fit.beta, fit.gamma, fit.delta_exp, fit.residual_mse]).all()
+        with np.errstate(over="ignore"):
+            assert np.all(fit.gamma + d ** fit.delta_exp > 0)
+        benford_mse = np.mean((benford_probs(base) - probs) ** 2)
+        assert fit.residual_mse <= benford_mse + 1e-15
+        # the residual is the mse of the reported curve
+        assert fd.divergences(pmf, fit).mse == fit.residual_mse
 
     def test_batch_composition_is_irrelevant(self):
         rng = np.random.default_rng(5)
