@@ -277,7 +277,9 @@ def cmd_simulate(args) -> int:
                     "frequencies": args.frequencies, "trials": args.trials,
                     "signal_len": args.signal_len},
                    [], seed=args.seed)
-    print(f"simulate: {len(result.rows)} cells -> {args.out}")
+    fits = sum(row.n_trials for row in result.rows)
+    print(f"simulate: {len(result.rows)} cells, "
+          f"{result.capped_fits} of {fits} fits hit the iteration cap -> {args.out}")
     return EXIT_OK
 
 

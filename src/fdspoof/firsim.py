@@ -68,6 +68,7 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
+    capped_fits: int = 0  # trials whose curve fit hit the iteration cap
 
 
 def _kaiser_attenuation(spec: FirDesignSpec) -> float:
@@ -145,9 +146,10 @@ def apply_fir(buffer: AudioBuffer, coeffs: np.ndarray) -> AudioBuffer:
 
 
 def _sweep_chunk(trials, signal_len: int, cepstral_cfg: CepstralConfig, alpha: float,
-                 epsilon: float, min_digits: int) -> list[float | str]:
-    """js of every (coeffs, delta, frequency, seed) trial, or the text of the
-    error that stopped it; the chunk's pmfs share one batched fit."""
+                 epsilon: float, min_digits: int) -> list[tuple[float, bool] | str]:
+    """(js, whether the fit hit the iteration cap) of every (coeffs, delta,
+    frequency, seed) trial, or the text of the error that stopped it; the
+    chunk's pmfs share one batched fit."""
     outcomes: list[int | str] = []  # a row of `pmfs`, or the error text
     pmfs = []
     for coeffs, delta, frequency, trial_seed in trials:
@@ -161,9 +163,10 @@ def _sweep_chunk(trials, signal_len: int, cepstral_cfg: CepstralConfig, alpha: f
             outcomes.append(f"{type(exc).__name__}: {exc}")
     if not pmfs:
         return outcomes
-    divs, _ = fd_features.fitted_divergences(np.array(pmfs), SWEEP_BASE, alpha, epsilon)
-    js = divs[:, 0]
-    return [o if isinstance(o, str) else float(js[o]) for o in outcomes]
+    divs, converged = fd_features.fitted_divergences(np.array(pmfs), SWEEP_BASE, alpha,
+                                                     epsilon)
+    return [o if isinstance(o, str) else (float(divs[o, 0]), not converged[o])
+            for o in outcomes]
 
 
 def divergence_sweep(
@@ -179,7 +182,8 @@ def divergence_sweep(
     min_digits: int = 10,
     jobs: int = 1,
 ) -> SweepResult:
-    """Mean and std of the fitted-vs-empirical js per (n_coeffs, delta, frequency).
+    """Mean and std of the fitted-vs-empirical js per (n_coeffs, delta, frequency),
+    and how many of the trials' fits hit the iteration cap.
 
     Trial randomness derives from (seed, cell index, trial index), and each
     trial's fit is independent of the others in its batch, so results do not
@@ -220,9 +224,12 @@ def divergence_sweep(
     )
 
     rows = []
+    capped = 0
     for cell_index, (delta, freq, nc) in enumerate(cells):
         cell = outcomes[cell_index * n_trials : (cell_index + 1) * n_trials]
-        values = [js for js in cell if not isinstance(js, str)]
+        fitted = [o for o in cell if not isinstance(o, str)]
+        values = [js for js, _ in fitted]
+        capped += sum(cap for _, cap in fitted)
         if not values:
             raise FdspoofError(
                 f"every trial failed for cell (Nc={nc}, delta={delta:g}, f={freq}): {cell[-1]}"
@@ -230,7 +237,7 @@ def divergence_sweep(
         mean = float(np.mean(values))
         std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
         rows.append(SweepRow(nc, float(delta), int(freq), mean, std, len(values)))
-    return SweepResult(rows=tuple(rows))
+    return SweepResult(rows=tuple(rows), capped_fits=capped)
 
 
 def write_sweep_csv(path: str | Path, result: SweepResult) -> None:

@@ -2,16 +2,21 @@
 
 CART-style greedy trees: at each node a seeded subset of features is drawn,
 candidate thresholds are the midpoints between consecutive sorted unique
-values, and the split maximizing impurity decrease (gini or entropy) wins.
-Trees grow until pure, until no positive-gain split exists, or to max_depth.
+values, and the split maximizing impurity decrease (gini or entropy) wins;
+all candidate features of a node are sorted and scored in one vectorized call.
+Trees grow until pure, until no split leaves min_samples_leaf rows on both
+sides, or to max_depth.
 Each tree of a forest trains on an independent bootstrap seeded by
-(seed + tree_index), so any execution order produces the identical model.
+(seed + tree_index), so any execution order produces the identical model, and
+a forest's first n trees are the n-tree forest with the same settings: the
+grid search trains one forest per setting at its largest size and scores the
+smaller sizes on its prefixes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -98,34 +103,38 @@ def _impurity(counts0: np.ndarray, counts1: np.ndarray, total: np.ndarray, crite
     return -(e0 + e1)
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, criterion: str, min_leaf: int):
-    """Best (threshold, gain) for one feature at one node, or None."""
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    ys = y[order]
-    n = xs.shape[0]
-    cut = np.nonzero(xs[:-1] < xs[1:])[0]  # split after position i
-    if cut.size == 0:
-        return None
-    n_left = cut + 1
-    n_right = n - n_left
+def _best_split(block: np.ndarray, y: np.ndarray, criterion: str, min_leaf: int):
+    """Best (column, threshold, gain) over the columns of one node's block, or None.
+
+    `block` is the node's rows x candidate features and `y` the node's labels.
+    Every column is sorted and scored at once: a cut after sorted position i
+    is valid where the value strictly increases there and both sides keep
+    `min_leaf` rows. Ties go to the first column, then the first cut, so the
+    winner is what scoring the columns one by one in order would pick.
+    """
+    m = block.shape[0]
+    order = np.argsort(block, axis=0, kind="stable")
+    xs = np.take_along_axis(block, order, axis=0)
+    ones = np.cumsum(y[order], axis=0)
+    n_left = np.arange(1, m)[:, None]  # a cut after position i leaves i + 1 rows left
+    n_right = m - n_left
+    valid = xs[:-1] < xs[1:]
     if min_leaf > 1:
-        ok = (n_left >= min_leaf) & (n_right >= min_leaf)
-        cut, n_left, n_right = cut[ok], n_left[ok], n_right[ok]
-        if cut.size == 0:
-            return None
-    ones = np.cumsum(ys)
-    ones_left = ones[cut]
+        valid &= (n_left >= min_leaf) & (n_right >= min_leaf)
+    ones_left = ones[:-1]
     ones_right = ones[-1] - ones_left
     imp_left = _impurity(n_left - ones_left, ones_left, n_left, criterion)
     imp_right = _impurity(n_right - ones_right, ones_right, n_right, criterion)
-    total_ones = ones[-1]
-    imp_parent = _impurity(np.array([n - total_ones]), np.array([total_ones]),
-                           np.array([n]), criterion)[0]
-    gain = imp_parent - (n_left * imp_left + n_right * imp_right) / n
-    best = int(np.argmax(gain))
-    threshold = 0.5 * (xs[cut[best]] + xs[cut[best] + 1])
-    return float(threshold), float(gain[best])
+    total_ones = ones[-1, 0]
+    imp_parent = _impurity(np.array([m - total_ones]), np.array([total_ones]),
+                           np.array([m]), criterion)[0]
+    gain = np.where(valid, imp_parent - (n_left * imp_left + n_right * imp_right) / m,
+                    -np.inf)
+    column, cut = divmod(int(np.argmax(gain.T)), m - 1)
+    if gain[cut, column] == -np.inf:
+        return None
+    threshold = 0.5 * (xs[cut, column] + xs[cut + 1, column])
+    return column, float(threshold), float(gain[cut, column])
 
 
 def _grow(data: LabeledDataset, config: ForestConfig, seed: int, bootstrap: bool) -> Tree:
@@ -168,22 +177,14 @@ def _grow(data: LabeledDataset, config: ForestConfig, seed: int, bootstrap: bool
         # zero-gain splits are accepted (like sklearn): XOR-style data needs a
         # neutral first cut before any purity shows up; recursion still ends
         # because both sides are strictly smaller
-        best_gain = -np.inf
-        best_feature = -1
-        best_threshold = 0.0
-        for f in candidates:
-            found = _best_split(X[node_rows, f], y[node_rows], config.criterion,
-                                config.min_samples_leaf)
-            if found is not None and found[1] > best_gain:
-                best_threshold, best_gain = found
-                best_feature = int(f)
-        if best_feature < 0:
+        found = _best_split(X[np.ix_(node_rows, candidates)], y[node_rows],
+                            config.criterion, config.min_samples_leaf)
+        if found is None:
             continue
 
-        feature[node] = best_feature
-        threshold[node] = best_threshold
-        gain[node] = best_gain
-        mask = X[node_rows, best_feature] <= best_threshold
+        column, threshold[node], gain[node] = found
+        feature[node] = int(candidates[column])
+        mask = X[node_rows, feature[node]] <= threshold[node]
         # push right first so the left child is grown (and numbered) first
         stack.append((node_rows[~mask], depth + 1, node, 1))
         stack.append((node_rows[mask], depth + 1, node, 0))
@@ -231,17 +232,27 @@ def _tree_votes(tree: Tree, X: np.ndarray) -> np.ndarray:
     return (tree.counts[nodes, 1] > tree.counts[nodes, 0]).astype(np.int64)
 
 
-def _votes(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    """Spoof votes per row of X, summed over the trees."""
-    widest = max(int(tree.feature.max()) for tree in model.trees)
+def _check_width(trees, X: np.ndarray) -> None:
+    """LayoutMismatch if any tree splits on a column X does not have."""
+    widest = max(int(tree.feature.max()) for tree in trees)
     if widest >= X.shape[1]:
         raise LayoutMismatch(
             f"model splits on feature {widest}, but the features have {X.shape[1]} columns"
         )
+
+
+def _votes(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+    """Spoof votes per row of X, summed over the trees."""
+    _check_width(model.trees, X)
     votes = np.zeros(X.shape[0], dtype=np.int64)
     for tree in model.trees:
         votes += _tree_votes(tree, X)
     return votes
+
+
+def _majority(votes: np.ndarray, n_trees: int) -> np.ndarray:
+    """Label 1 where more than half of n_trees voted spoof; a tie is bonafide."""
+    return (votes * 2 > n_trees).astype(np.int64)
 
 
 def predict(model: TrainedModel, features: np.ndarray) -> tuple[int, float]:
@@ -260,8 +271,7 @@ def predict_batch(model: TrainedModel, dataset: LabeledDataset) -> np.ndarray:
         raise LayoutMismatch(
             f"features layout {dataset.layout_hash} != model layout {model.layout_hash}"
         )
-    votes = _votes(model, dataset.features)
-    return (votes * 2 > len(model.trees)).astype(np.int64)
+    return _majority(_votes(model, dataset.features), len(model.trees))
 
 
 def accuracy(model: TrainedModel, dataset: LabeledDataset) -> float:
@@ -288,9 +298,14 @@ def grid_search(
     train: LabeledDataset, dev: LabeledDataset, grid: list[ForestConfig] | None = None,
     seed: int = 0,
 ) -> tuple[TrainedModel, list[GridCell]]:
-    """Train every grid cell, report dev accuracy, return the best model.
+    """Dev accuracy of every grid cell, in grid order, and the best model.
 
-    Ties prefer fewer trees, then gini.
+    Tree t of a forest depends only on its settings and seed + t, so a smaller
+    forest is the first trees of a larger one with the same settings. Cells
+    that differ only in n_trees therefore share one forest of their largest
+    size, trained once; each size is scored from a running sum of dev votes,
+    by the majority rule of `predict_batch`. Ties prefer fewer trees, then
+    gini.
     """
     if train.layout_hash != dev.layout_hash:
         raise LayoutMismatch(
@@ -298,17 +313,34 @@ def grid_search(
         )
     if grid is None:
         grid = default_grid(seed)
-    report = []
-    best: tuple[float, int, int, TrainedModel] | None = None
-    for config in grid:
-        model = train_forest(train, config)
-        acc = accuracy(model, dev)
-        report.append(GridCell(config.n_trees, config.criterion, acc))
-        rank = (-acc, config.n_trees, CRITERIA.index(config.criterion))
-        if best is None or rank < best[:3]:
-            best = (*rank, model)
+    sizes: dict[ForestConfig, set[int]] = {}
+    first: dict[ForestConfig, int] = {}
+    for index, config in enumerate(grid):
+        sizes.setdefault(replace(config, n_trees=1), set()).add(config.n_trees)
+        first.setdefault(config, index)
+    scores: dict[ForestConfig, float] = {}
+
+    def rank(config: ForestConfig) -> tuple:
+        return (-scores[config], config.n_trees, CRITERIA.index(config.criterion),
+                first[config])
+
+    best: ForestConfig | None = None
+    best_trees: tuple[Tree, ...] = ()
+    for shared, wanted in sizes.items():
+        trees = train_forest(train, replace(shared, n_trees=max(wanted))).trees
+        _check_width(trees, dev.features)
+        votes = np.zeros(dev.n_records, dtype=np.int64)
+        for n, tree in enumerate(trees, start=1):
+            votes += _tree_votes(tree, dev.features)
+            if n in wanted:
+                scores[replace(shared, n_trees=n)] = float(
+                    np.mean(_majority(votes, n) == dev.labels))
+        top = min((replace(shared, n_trees=n) for n in wanted), key=rank)
+        if best is None or rank(top) < rank(best):
+            best, best_trees = top, trees[: top.n_trees]
     assert best is not None
-    return best[3], report
+    report = [GridCell(config.n_trees, config.criterion, scores[config]) for config in grid]
+    return TrainedModel(best_trees, best, train.layout_hash), report
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from fdspoof.exceptions import DegenerateProtocol, MissingAudio, ParseError
 from fdspoof.fd_features import FdConfig, feature_layout, layout_hash
 from fdspoof.forest import ForestConfig, LabeledDataset, TrainedModel, Tree
 from fdspoof.segmentation import SegmentKind
+from test_forest import grid_by_cells
 
 
 def leaf_model(label, layout_hash_value):
@@ -306,3 +307,28 @@ class TestAblation:
         segments = {row.config_name: row.segment_kind for row in report.rows}
         assert segments["full_d1-4"] == "full"
         assert segments["silence_b20"] == "silence"
+
+    def test_report_bytes_match_cell_by_cell_search(self, tmp_path, monkeypatch):
+        # noise swamps the class shift, so the grid cells score differently
+        layout = feature_layout(FdConfig(), tuple(range(2, 15)))
+        rng = np.random.default_rng(9)
+
+        def noisy(n_per_class, seed):
+            d = synthetic_dataset(n_per_class, layout, seed)
+            features = d.features + rng.normal(0.0, 6.0, d.features.shape)
+            return LabeledDataset(features, d.labels, d.record_ids, d.layout_hash,
+                                  d.system_ids)
+
+        data = {kind: (noisy(10, 30 + i), noisy(8, 40 + i), layout)
+                for i, kind in enumerate(SegmentKind)}
+        grid = [ForestConfig(n_trees=n, criterion=c, seed=3)
+                for n in (6, 1, 3) for c in ("entropy", "gini")]
+        asvspoof.write_report_csv(tmp_path / "prefix.csv",
+                                  asvspoof.ablation_run(data, grid=grid))
+        monkeypatch.setattr(asvspoof, "grid_search",
+                            lambda train, dev, grid, seed: grid_by_cells(train, dev, grid))
+        asvspoof.write_report_csv(tmp_path / "cells.csv",
+                                  asvspoof.ablation_run(data, grid=grid))
+        prefix = (tmp_path / "prefix.csv").read_bytes()
+        assert prefix == (tmp_path / "cells.csv").read_bytes()
+        assert len({line.split(b",")[3] for line in prefix.splitlines()[1:]}) > 2

@@ -9,7 +9,7 @@ import pytest
 
 import fdspoof
 from conftest import make_filtered_clip
-from fdspoof import audio_io, cli, fd_features
+from fdspoof import audio_io, cli, fd_features, firsim
 from fdspoof.asvspoof import write_feature_csv
 from fdspoof.fd_features import FdConfig, feature_layout, layout_hash
 from fdspoof.forest import LabeledDataset
@@ -213,6 +213,37 @@ class TestSimulate:
         manifests = [Path(str(out) + ".manifest.json").read_bytes() for out in (a, b)]
         assert manifests[0] == manifests[1]
         assert len(a.read_text().splitlines()) == 3  # header + 2 cells
+
+    def test_summary_counts_capped_fits_outside_the_outputs(self, tmp_path, capsys,
+                                                            monkeypatch):
+        args = ["simulate", "--nc-list", "8,16", "--deltas", "0.01", "--frequencies", "2",
+                "--trials", "2", "--signal-len", "32768", "--seed", "5"]
+        sweep = dict(n_coeffs_list=(8, 16), deltas=(0.01,), frequencies=(2,), n_trials=2,
+                     signal_len=32768, seed=5)
+
+        def run(tag):
+            out = tmp_path / f"{tag}.csv"
+            assert cli.main(args + ["--out", str(out)]) == 0
+            summary = capsys.readouterr().out
+            result = firsim.divergence_sweep(**sweep)
+            assert (f"simulate: 2 cells, {result.capped_fits} of 4 fits hit the iteration "
+                    f"cap -> {out}") in summary
+            # the CSV holds the sweep rows and nothing else
+            firsim.write_sweep_csv(tmp_path / "rows.csv", firsim.SweepResult(result.rows))
+            assert out.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+            return out, result.capped_fits
+
+        default, _ = run("default")
+        # with a one-iteration cap every fit is capped
+        fit = fd_features.fit_benford_batch
+        monkeypatch.setattr(fd_features, "fit_benford_batch",
+                            lambda probs, base: fit(probs, base, max_iter=1))
+        capped_out, capped = run("capped")
+        assert capped == 4
+        manifests = [Path(str(out) + ".manifest.json").read_bytes()
+                     for out in (default, capped_out)]
+        assert manifests[0] == manifests[1]
+        assert b"cap" not in manifests[0]
 
 
 class TestSegmentReport:

@@ -1,15 +1,22 @@
+import itertools
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import make_blobs
+from fdspoof import forest
 from fdspoof.exceptions import EmptyDataset, LayoutMismatch, ParseError
 from fdspoof.forest import (
+    CRITERIA,
     ForestConfig,
+    GridCell,
     LabeledDataset,
     Tree,
     TrainedModel,
+    _impurity,
+    _resolve_features_per_split,
     accuracy,
     grid_search,
     load_model,
@@ -34,6 +41,113 @@ def walk_tree(tree, x):
         node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
     c0, c1 = tree.counts[node]
     return 1 if c1 > c0 else 0
+
+
+def split_one_feature(x, y, criterion, min_leaf):
+    """Reference split search over one feature: best (threshold, gain), or None."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    ys = y[order]
+    n = xs.shape[0]
+    cut = np.nonzero(xs[:-1] < xs[1:])[0]  # split after position i
+    if cut.size == 0:
+        return None
+    n_left = cut + 1
+    n_right = n - n_left
+    if min_leaf > 1:
+        ok = (n_left >= min_leaf) & (n_right >= min_leaf)
+        cut, n_left, n_right = cut[ok], n_left[ok], n_right[ok]
+        if cut.size == 0:
+            return None
+    ones = np.cumsum(ys)
+    ones_left = ones[cut]
+    ones_right = ones[-1] - ones_left
+    imp_left = _impurity(n_left - ones_left, ones_left, n_left, criterion)
+    imp_right = _impurity(n_right - ones_right, ones_right, n_right, criterion)
+    total_ones = ones[-1]
+    imp_parent = _impurity(np.array([n - total_ones]), np.array([total_ones]),
+                           np.array([n]), criterion)[0]
+    gain = imp_parent - (n_left * imp_left + n_right * imp_right) / n
+    best = int(np.argmax(gain))
+    threshold = 0.5 * (xs[cut[best]] + xs[cut[best] + 1])
+    return float(threshold), float(gain[best])
+
+
+def grow_by_feature(data, config, seed, bootstrap):
+    """Reference tree growth that searches a node's candidate features one at
+    a time and keeps the first with the strictly highest gain; the same
+    seeds, draws and node numbering as `train_forest`."""
+    X, y, n = data.features, data.labels, data.n_records
+    n_split = _resolve_features_per_split(config, X.shape[1])
+    rows = np.arange(n)
+    if bootstrap:
+        rows = np.sort(np.random.default_rng(seed).integers(0, n, size=n))
+    rng = np.random.default_rng(seed)
+    feature, threshold, left, right, counts, gain = [], [], [], [], [], []
+    stack = [(rows, 0, -1, 0)]
+    while stack:
+        node_rows, depth, parent, side = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            (left if side == 0 else right)[parent] = node
+        ones = int(y[node_rows].sum())
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        counts.append([node_rows.size - ones, ones])
+        gain.append(0.0)
+        pure = ones == 0 or ones == node_rows.size
+        at_depth = config.max_depth is not None and depth >= config.max_depth
+        if pure or at_depth or node_rows.size < 2 * config.min_samples_leaf:
+            continue
+        best_gain, best_feature, best_threshold = -np.inf, -1, 0.0
+        for f in rng.choice(X.shape[1], size=n_split, replace=False):
+            found = split_one_feature(X[node_rows, f], y[node_rows], config.criterion,
+                                      config.min_samples_leaf)
+            if found is not None and found[1] > best_gain:
+                best_threshold, best_gain = found
+                best_feature = int(f)
+        if best_feature < 0:
+            continue
+        feature[node], threshold[node], gain[node] = best_feature, best_threshold, best_gain
+        mask = X[node_rows, best_feature] <= best_threshold
+        stack.append((node_rows[~mask], depth + 1, node, 1))
+        stack.append((node_rows[mask], depth + 1, node, 0))
+    return Tree(feature, threshold, left, right, counts, gain)
+
+
+def assert_same_tree(tree, reference):
+    """Every node array equal in dtype, shape and bits."""
+    for f in fields(Tree):
+        got, want = getattr(tree, f.name), getattr(reference, f.name)
+        assert got.dtype == want.dtype and got.shape == want.shape, f.name
+        assert got.tobytes() == want.tobytes(), f.name
+
+
+def tied_data(seed, n=90, n_features=7):
+    """Noisy labels on features rounded to a coarse grid, so most columns
+    hold tied values and many nodes have candidates without any cut."""
+    rng = np.random.default_rng(seed)
+    features = np.round(rng.normal(0.0, 1.0, (n, n_features)) * 1.5) / 1.5
+    features[:, 3] = np.round(features[:, 3])  # three or four distinct values
+    noise = rng.normal(0.0, 1.0, n)
+    labels = (features[:, 0] + features[:, 1] * features[:, 2] + noise > 0).astype(int)
+    return dataset_of(features, labels)
+
+
+def grid_by_cells(train, dev, grid):
+    """Reference grid search: every cell trained on its own and scored with
+    `accuracy`; ties prefer fewer trees, then gini, then grid order."""
+    report, best = [], None
+    for config in grid:
+        model = train_forest(train, config)
+        acc = accuracy(model, dev)
+        report.append(GridCell(config.n_trees, config.criterion, acc))
+        rank = (-acc, config.n_trees, CRITERIA.index(config.criterion))
+        if best is None or rank < best[0]:
+            best = (rank, model)
+    return best[1], report
 
 
 def gini_of(counts):
@@ -83,6 +197,35 @@ class TestTrainTree:
             recomputed = gini_of(parent) - (nl * gini_of(left) + nr * gini_of(right)) / n
             assert recomputed == pytest.approx(tree.gain[node], abs=1e-12)
             assert tree.gain[node] >= 0.0
+
+
+class TestSplitOracle:
+    @pytest.mark.parametrize("criterion,min_leaf,max_depth,bootstrap,per_split",
+                             list(itertools.product(CRITERIA, (1, 3), (None, 4),
+                                                    (True, False), (1, None))))
+    def test_forest_matches_per_feature_search(self, criterion, min_leaf, max_depth,
+                                               bootstrap, per_split):
+        data = tied_data(seed=min_leaf + (max_depth or 0))
+        config = ForestConfig(n_trees=4, criterion=criterion, features_per_split=per_split,
+                              seed=11, max_depth=max_depth, min_samples_leaf=min_leaf,
+                              bootstrap=bootstrap)
+        model = train_forest(data, config)
+        for t, tree in enumerate(model.trees):
+            assert_same_tree(tree, grow_by_feature(data, config, 11 + t, bootstrap))
+        # the grid is only worth checking if it splits at all
+        assert max(len(tree.feature) for tree in model.trees) > 1
+
+    @pytest.mark.parametrize("features,labels,min_leaf,counts", [
+        ([[1.0, 2.0]] * 4, [0, 1, 0, 1], 1, [2, 2]),  # constant columns: no cut at all
+        ([[0.0]] * 4 + [[1.0]] * 2, [0, 1, 0, 1, 1, 0], 3, [3, 3]),  # only a 4 | 2 cut
+    ])
+    def test_node_without_a_cut_is_a_leaf(self, features, labels, min_leaf, counts):
+        data = dataset_of(features, labels)
+        config = ForestConfig(min_samples_leaf=min_leaf)
+        tree = train_tree(data, config, tree_seed=0)
+        assert tree.feature.tolist() == [-1]
+        assert tree.counts.tolist() == [counts]
+        assert_same_tree(tree, grow_by_feature(data, config, 0, bootstrap=False))
 
 
 class TestTrainForest:
@@ -196,6 +339,60 @@ class TestGridSearch:
         other = LabeledDataset(dev.features, dev.labels, dev.record_ids, "x")
         with pytest.raises(LayoutMismatch):
             grid_search(blobs, other)
+
+
+class TestGridPrefixes:
+    """grid_search scores prefixes of one forest per setting; it must return
+    what training and scoring every cell on its own returns."""
+
+    def assert_same_search(self, tmp_path, train, dev, grid):
+        model, report = grid_search(train, dev, grid)
+        want_model, want_report = grid_by_cells(train, dev, grid)
+        assert report == want_report
+        assert model.config == want_model.config
+        save_model(model, tmp_path / "prefix.json")
+        save_model(want_model, tmp_path / "cells.json")
+        assert (tmp_path / "prefix.json").read_bytes() == (tmp_path / "cells.json").read_bytes()
+        return model, report
+
+    def test_unsorted_grid_mixed_criteria_two_seeds(self, tmp_path):
+        train, dev = tied_data(seed=21, n=120), tied_data(seed=22, n=70)
+        grid = [ForestConfig(n_trees=n, criterion=c, seed=s)
+                for n, c, s in ((7, "entropy", 0), (3, "gini", 5), (12, "gini", 0),
+                                (1, "entropy", 5), (3, "entropy", 0), (7, "gini", 5),
+                                (2, "gini", 0), (12, "entropy", 5))]
+        _, report = self.assert_same_search(tmp_path, train, dev, grid)
+        assert len({cell.dev_accuracy for cell in report}) > 1  # the scores differ
+
+    def test_duplicated_cell(self, tmp_path):
+        train, dev = tied_data(seed=23, n=120), tied_data(seed=24, n=70)
+        grid = [ForestConfig(n_trees=n, criterion=c, seed=1)
+                for n, c in ((5, "gini"), (9, "entropy"), (5, "gini"), (2, "gini"))]
+        _, report = self.assert_same_search(tmp_path, train, dev, grid)
+        assert report[0] == report[2]
+
+    def test_tie_picks_fewer_trees_then_gini_then_grid_order(self, tmp_path, blobs):
+        dev = make_blobs(30, seed=88)
+        grid = [ForestConfig(n_trees=n, criterion=c, seed=s)
+                for n, c, s in ((9, "gini", 0), (4, "entropy", 0), (4, "gini", 2),
+                                (9, "entropy", 2), (4, "gini", 0))]
+        model, report = self.assert_same_search(tmp_path, blobs, dev, grid)
+        assert all(cell.dev_accuracy == 1.0 for cell in report)
+        assert model.config == ForestConfig(n_trees=4, criterion="gini", seed=2)
+
+    def test_largest_forest_per_setting_trained_once(self, monkeypatch):
+        train, dev = tied_data(seed=25, n=60), tied_data(seed=26, n=30)
+        trained = []
+        real = forest.train_forest
+
+        def counting(data, config):
+            trained.append(config.n_trees)
+            return real(data, config)
+
+        monkeypatch.setattr(forest, "train_forest", counting)
+        grid = [ForestConfig(n_trees=n, criterion=c) for n in (2, 8, 4) for c in CRITERIA]
+        grid_search(train, dev, grid)
+        assert trained == [8, 8]
 
 
 class TestPersistence:
