@@ -27,7 +27,6 @@ from .exceptions import (
     FdspoofError,
     InsufficientData,
     InsufficientDigits,
-    LayoutMismatch,
     MissingAudio,
     ParseError,
     TooShort,
@@ -182,12 +181,11 @@ def _extract_chunk(
             kept.append(i)
         except _SKIPPABLE as exc:
             outcomes[i] = _skip(path.stem, exc)
-    vectors, failures = fd_features.assemble_features_many(matrices, fd_cfg)
+    rows, failures = fd_features.assemble_features_many(matrices, fd_cfg)
+    for i, row in zip(kept, rows):
+        outcomes[i] = row
     for idx, exc in failures:
         outcomes[kept[idx]] = _skip(paths[kept[idx]].stem, exc)
-    for i, vector in zip(kept, vectors):
-        if vector is not None:
-            outcomes[i] = (vector.values, vector.capped_fits)
     return outcomes
 
 
@@ -352,70 +350,38 @@ def subset_records(dataset: LabeledDataset, mask: np.ndarray) -> LabeledDataset:
     )
 
 
-def split_by_system(dataset: LabeledDataset) -> tuple[LabeledDataset, dict[str, LabeledDataset]]:
-    """Split into (bonafide records, {system_id: that system's spoof records})."""
-    systems = np.array(dataset.system_ids)
-    bonafide = subset_records(dataset, systems == BONAFIDE_MARK)
-    spoof_by_system = {
-        system: subset_records(dataset, systems == system)
-        for system in sorted(set(dataset.system_ids) - {BONAFIDE_MARK})
-    }
-    return bonafide, spoof_by_system
-
-
-def _stack(a: LabeledDataset, b: LabeledDataset) -> LabeledDataset:
-    return LabeledDataset(
-        features=np.vstack([a.features, b.features]),
-        labels=np.concatenate([a.labels, b.labels]),
-        record_ids=a.record_ids + b.record_ids,
-        layout_hash=a.layout_hash,
-        system_ids=a.system_ids + b.system_ids,
-    )
-
-
-def _accuracy_pair(model: TrainedModel, data: LabeledDataset) -> tuple[float, float]:
-    preds = predict_batch(model, data)
-    acc = float(np.mean(preds == data.labels))
-    recalls = []
-    for cls in (0, 1):
-        mask = data.labels == cls
-        if mask.any():
-            recalls.append(float(np.mean(preds[mask] == cls)))
-    balanced = float(np.mean(recalls))
-    return acc, balanced
-
-
-def one_vs_one_eval(
-    model: TrainedModel,
-    bonafide: LabeledDataset,
-    spoof_by_system: dict[str, LabeledDataset],
-    segment_label: str,
-    config_label: str,
-) -> EvaluationReport:
-    """Per-system accuracy of the model on (all bonafide + that system's spoofs)."""
-    rows = []
-    for system in sorted(spoof_by_system):
-        spoofs = spoof_by_system[system]
-        if spoofs.layout_hash != model.layout_hash or bonafide.layout_hash != model.layout_hash:
-            raise LayoutMismatch("evaluation features do not match the model layout")
-        combined = _stack(bonafide, spoofs)
-        acc, balanced = _accuracy_pair(model, combined)
-        rows.append(EvalRow(system, segment_label, config_label, acc, balanced,
-                            bonafide.n_records, spoofs.n_records))
-    return EvaluationReport(rows=tuple(rows))
+def _eval_row(system_id: str, segment_label: str, config_label: str, correct: np.ndarray,
+              labels: np.ndarray, n_bonafide: int, n_spoof: int) -> EvalRow:
+    """Accuracy and balanced accuracy of the records whose per-record
+    correctness and labels are given."""
+    recalls = [float(np.mean(correct[labels == cls])) for cls in (0, 1)
+               if np.any(labels == cls)]
+    return EvalRow(system_id, segment_label, config_label, float(np.mean(correct)),
+                   float(np.mean(recalls)), n_bonafide, n_spoof)
 
 
 def evaluate_with_aggregate(
     model: TrainedModel, dataset: LabeledDataset, segment_label: str, config_label: str
 ) -> EvaluationReport:
-    """One-vs-one rows for every system plus an `ALL` union row."""
-    bonafide, spoof_by_system = split_by_system(dataset)
-    report = one_vs_one_eval(model, bonafide, spoof_by_system, segment_label, config_label)
-    acc, balanced = _accuracy_pair(model, dataset)
+    """One-vs-one rows for every spoof system, in sorted order, plus an `ALL` row.
+
+    Every record is predicted once. A system's row scores all bonafide records
+    (system `-`) together with that system's records and counts them by
+    system; the `ALL` row scores every record and counts the classes by label.
+    """
+    correct = predict_batch(model, dataset) == dataset.labels
+    systems = np.array(dataset.system_ids)
+    bonafide = systems == BONAFIDE_MARK
+    rows = []
+    for system in sorted(set(dataset.system_ids) - {BONAFIDE_MARK}):
+        spoof = systems == system
+        pair = bonafide | spoof
+        rows.append(_eval_row(system, segment_label, config_label, correct[pair],
+                              dataset.labels[pair], int(bonafide.sum()), int(spoof.sum())))
     n_spoof = int(np.sum(dataset.labels == 1))
-    all_row = EvalRow("ALL", segment_label, config_label, acc, balanced,
-                      dataset.n_records - n_spoof, n_spoof)
-    return EvaluationReport(rows=report.rows + (all_row,))
+    rows.append(_eval_row("ALL", segment_label, config_label, correct, dataset.labels,
+                          dataset.n_records - n_spoof, n_spoof))
+    return EvaluationReport(rows=tuple(rows))
 
 
 def write_report_csv(path: str | Path, report: EvaluationReport) -> None:
@@ -485,7 +451,8 @@ def ablation_run(
     seed: int = 0,
     grid=None,
 ) -> EvaluationReport:
-    """Grid search + one-vs-one evaluation for every ablation configuration.
+    """Grid search + one-vs-one evaluation rows, without `ALL`, for every
+    ablation configuration.
 
     `data_by_segment` maps a segment kind to (train, dev, layout) built from the
     full feature grid; each configuration selects columns from those files, so
@@ -501,8 +468,6 @@ def ablation_run(
         sub_train, _ = select_columns(train, layout, config.bases, config.deltas)
         sub_dev, _ = select_columns(dev, layout, config.bases, config.deltas)
         model, _ = grid_search(sub_train, sub_dev, grid or default_grid(seed), seed)
-        bonafide, spoof_by_system = split_by_system(sub_dev)
-        report = one_vs_one_eval(model, bonafide, spoof_by_system,
-                                 config.segment.value, config.name)
-        rows.extend(report.rows)
+        report = evaluate_with_aggregate(model, sub_dev, config.segment.value, config.name)
+        rows.extend(report.rows[:-1])
     return EvaluationReport(rows=tuple(rows))

@@ -16,7 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__, asvspoof, audio_io, firsim, segmentation
@@ -103,20 +103,19 @@ def _parsed(name: str, parse, text):
         raise SettingError(f"{name}: {exc}") from None
 
 
+_CONFIGS = (EnergyConfig, CepstralConfig, FdConfig)
+
+
+def _parser_for(default):
+    if isinstance(default, tuple):
+        return _ints if isinstance(default[0], int) else _floats
+    return type(default)
+
+
+# name -> (parser, default), from the fields of the configs, in flag order
 _SETTINGS = {
-    # name -> (parser, default)
-    "window_len": (int, 101),
-    "threshold_db": (float, -40.0),
-    "frame_len": (int, 1024),
-    "hop": (int, 512),
-    "n_filters": (int, 26),
-    "coeff_lo": (int, 2),
-    "coeff_hi": (int, 14),
-    "bases": (_ints, (10, 20)),
-    "deltas": (_floats, (1.0, 2.0, 3.0, 4.0)),
-    "alpha": (float, 0.3),
-    "epsilon": (float, 1e-10),
-    "min_digits": (int, 10),
+    f.name: (_parser_for(f.default), f.default)
+    for config in _CONFIGS for f in fields(config) if f.name != "sample_rate"
 }
 
 
@@ -139,15 +138,8 @@ def resolve_settings(args: argparse.Namespace) -> dict:
 
 
 def _configs_from(settings: dict) -> tuple[EnergyConfig, CepstralConfig, FdConfig]:
-    energy = EnergyConfig(window_len=settings["window_len"],
-                          threshold_db=settings["threshold_db"])
-    cep = CepstralConfig(frame_len=settings["frame_len"], hop=settings["hop"],
-                         n_filters=settings["n_filters"], coeff_lo=settings["coeff_lo"],
-                         coeff_hi=settings["coeff_hi"])
-    fd = FdConfig(bases=settings["bases"], deltas=settings["deltas"],
-                  alpha=settings["alpha"], epsilon=settings["epsilon"],
-                  min_digits=settings["min_digits"])
-    return energy, cep, fd
+    return tuple(config(**{f.name: settings[f.name] for f in fields(config) if f.name in settings})
+                 for config in _CONFIGS)
 
 
 def _jsonable(value):
@@ -293,9 +285,7 @@ def cmd_segment_report(args) -> int:
         fh.write("window_index,start_sample,energy_db,label\n")
         for index, start, energy, label in rows:
             fh.write(f"{index},{start},{energy!r},{label}\n")
-    write_manifest(Path(args.out), "segment-report",
-                   {"window_len": args.window_len, "threshold_db": args.threshold_db},
-                   [Path(args.audio)])
+    write_manifest(Path(args.out), "segment-report", asdict(config), [Path(args.audio)])
     print(f"segment-report: {len(rows)} windows -> {args.out}")
     return EXIT_OK
 
@@ -367,8 +357,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("segment-report", help="per-window energy/label CSV")
     p.add_argument("--audio", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window-len", type=int, default=101)
-    p.add_argument("--threshold-db", type=float, default=-40.0)
+    p.add_argument("--window-len", type=int, default=EnergyConfig.window_len)
+    p.add_argument("--threshold-db", type=float, default=EnergyConfig.threshold_db)
     p.set_defaults(func=cmd_segment_report)
 
     return parser

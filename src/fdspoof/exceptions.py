@@ -53,14 +53,6 @@ class InsufficientDigits(FdspoofError):
     """Too few non-zero values to form a digit distribution."""
 
 
-class ZeroValue(FdspoofError):
-    """First digit of zero is undefined."""
-
-
-class DomainError(FdspoofError):
-    """Argument outside the mathematical domain of the operation."""
-
-
 # forest
 class EmptyDataset(FdspoofError):
     """Training data empty or otherwise unusable."""

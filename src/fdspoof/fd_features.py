@@ -6,6 +6,13 @@ three-parameter generalized Benford curve beta*log_b(1 + 1/(gamma + d^delta)),
 and emit four divergences between the empirical pmf and the fitted curve
 (symmetrized KL, Renyi, Tsallis, mean square error).
 
+Records take one path: `assemble_features_many` builds every cell pmf of a
+batch of cepstral matrices and fits all of them with one `fit_benford_batch`
+call per base. The curve has one evaluator, `_shape_batch`, which computes
+d^delta as exp(delta * ln d); the fit, its projection and the divergences all
+use it. `fit_benford` and `divergences` are single-pmf wrappers over the same
+batched code.
+
 The curve fit projects beta out (variable projection): beta enters the curve
 linearly, so at every (gamma, delta_exp) it takes its least-squares value
 <p,g>/<g,g>, where g is the curve's shape log_b(1 + 1/(gamma + d^delta)).
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cepstral import CepstralMatrix
-from .exceptions import DomainError, InsufficientDigits, SettingError, ZeroValue
+from .exceptions import InsufficientDigits, SettingError
 
 DIVERGENCE_NAMES = ("js", "renyi", "tsallis", "mse")
 
@@ -93,13 +100,6 @@ class FeatureDescriptor:
         return f"{self.divergence}_f{self.frequency}_b{self.base}_d{self.delta:g}"
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
-    layout: tuple[FeatureDescriptor, ...]
-    capped_fits: int = 0  # cells whose curve fit hit the iteration cap
-
-
 # ---------------------------------------------------------------------------
 # digits and pmfs
 # ---------------------------------------------------------------------------
@@ -129,15 +129,6 @@ def _first_digits(magnitudes: np.ndarray, base: int) -> np.ndarray:
     return np.floor(mantissa).astype(np.int64)
 
 
-def first_digit(x: float, base: int) -> int:
-    """First digit of |x| in base b, i.e. floor(|x| / b^floor(log_b |x|))."""
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    if x == 0:
-        raise ZeroValue("first digit of zero is undefined")
-    return int(_first_digits(np.array([abs(float(x))]), base)[0])
-
-
 def digit_pmf(values, delta: float, base: int, min_digits: int = 10) -> DigitPmf:
     """Digit pmf of the quantized non-zero values of one coefficient column."""
     quantized = quantize(np.asarray(values, dtype=np.float64), delta)
@@ -154,17 +145,6 @@ def digit_pmf(values, delta: float, base: int, min_digits: int = 10) -> DigitPmf
 # ---------------------------------------------------------------------------
 # generalized Benford curve and its fit
 # ---------------------------------------------------------------------------
-
-def benford_ideal(d, base: int, beta: float, gamma: float, delta_exp: float):
-    """beta * log_b(1 + 1/(gamma + d^delta)); DomainError if the denominator
-    is not strictly positive."""
-    d = np.asarray(d, dtype=np.float64)
-    t = gamma + d ** delta_exp
-    if np.any(t <= 0.0) or not np.all(np.isfinite(t)):
-        raise DomainError(f"gamma + d^delta must be > 0 (gamma={gamma}, delta={delta_exp})")
-    out = beta * np.log1p(1.0 / t) / math.log(base)
-    return float(out) if out.ndim == 0 else out
-
 
 def _shape_batch(shape: np.ndarray, ln_digits: np.ndarray, ln_base: float) -> np.ndarray:
     """log_b(1 + 1/(gamma + d^delta)) for (..., 2) points (gamma, delta_exp),
@@ -375,81 +355,56 @@ def parse_feature_name(name: str) -> FeatureDescriptor:
         raise ValueError(f"unparsable feature column name {name!r}") from None
 
 
-def _cell_pmfs(matrix: CepstralMatrix, config: FdConfig) -> list[DigitPmf]:
-    """Digit pmfs for every (frequency, base, delta) cell in layout order."""
-    pmfs = []
+def _cell_pmfs(matrix: CepstralMatrix, config: FdConfig) -> list[np.ndarray]:
+    """Per base, the (frequencies x deltas, base-1) digit pmfs of every cell,
+    frequency-major, as the layout orders them."""
+    probs: list[list[np.ndarray]] = [[] for _ in config.bases]
     for f_idx, f in enumerate(matrix.frequencies):
         column = matrix.values[:, f_idx]
-        for base in config.bases:
+        for b, base in enumerate(config.bases):
             for delta in config.deltas:
                 try:
-                    pmfs.append(digit_pmf(column, delta, base, config.min_digits))
+                    probs[b].append(digit_pmf(column, delta, base, config.min_digits).probabilities)
                 except InsufficientDigits as exc:
                     raise InsufficientDigits(
                         f"cell (f={f}, b={base}, delta={delta:g}): {exc}"
                     ) from None
-    return pmfs
-
-
-def _vectors_from_pmfs(all_pmfs: list[list[DigitPmf]],
-                       config: FdConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Fit and score every record's cell pmfs; one batched fit per base.
-
-    Returns the (records, features) matrix and, per record, the number of
-    cells whose fit hit the iteration cap.
-    """
-    n_records = len(all_pmfs)
-    if n_records == 0:
-        return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
-    n_cells = len(all_pmfs[0])
-    n_div = len(DIVERGENCE_NAMES)
-    out = np.empty((n_records, n_cells * n_div))
-    capped = np.zeros(n_records, dtype=np.int64)
-    for base in config.bases:
-        cell_idx = [i for i, pmf in enumerate(all_pmfs[0]) if pmf.base == base]
-        probs = np.array(
-            [rec[i].probabilities for rec in all_pmfs for i in cell_idx]
-        )
-        divs, converged = fitted_divergences(probs, base, config.alpha, config.epsilon)
-        divs = divs.reshape(n_records, len(cell_idx), n_div)
-        capped += np.count_nonzero(~converged.reshape(n_records, len(cell_idx)), axis=1)
-        for j, i in enumerate(cell_idx):
-            out[:, i * n_div : (i + 1) * n_div] = divs[:, j, :]
-    return out, capped
-
-
-def assemble_features(matrix: CepstralMatrix, config: FdConfig = FdConfig()) -> FeatureVector:
-    """Full divergence feature vector of one cepstral matrix (416 by default)."""
-    pmfs = _cell_pmfs(matrix, config)
-    values, capped = _vectors_from_pmfs([pmfs], config)
-    return FeatureVector(values=values[0], layout=feature_layout(config, matrix.frequencies),
-                         capped_fits=int(capped[0]))
+    return [np.array(rows) for rows in probs]
 
 
 def assemble_features_many(
     matrices, config: FdConfig = FdConfig()
-) -> tuple[list[FeatureVector | None], list[tuple[int, InsufficientDigits]]]:
-    """Feature vectors for many matrices at once, sharing one fit batch.
+) -> tuple[list[tuple[np.ndarray, int] | None], list[tuple[int, InsufficientDigits]]]:
+    """Feature rows of many cepstral matrices, with one batched fit per base.
 
-    Returns a list aligned with the input (None where a record failed) plus the
-    per-record failures. Results are bit-identical to per-record assembly.
+    Returns a list aligned with the input, holding (values, capped fits) or
+    None where the record failed, and the (index, error) of every failure.
+    `values` follows `feature_layout`; `capped fits` counts the record's cells
+    whose fit hit the iteration cap. A row does not depend on the other
+    matrices in the batch.
     """
-    collected: list[list[DigitPmf]] = []
+    pmfs: list[list[np.ndarray]] = []  # per kept record, per base
     keep: list[int] = []
     failures: list[tuple[int, InsufficientDigits]] = []
-    layout = None
     for idx, matrix in enumerate(matrices):
-        if layout is None:
-            layout = feature_layout(config, matrix.frequencies)
         try:
-            collected.append(_cell_pmfs(matrix, config))
+            pmfs.append(_cell_pmfs(matrix, config))
             keep.append(idx)
         except InsufficientDigits as exc:
             failures.append((idx, exc))
-    results: list[FeatureVector | None] = [None] * (len(keep) + len(failures))
-    if collected:
-        vectors, capped = _vectors_from_pmfs(collected, config)
-        for row, idx in enumerate(keep):
-            results[idx] = FeatureVector(values=vectors[row], layout=layout,
-                                         capped_fits=int(capped[row]))
-    return results, failures
+    rows: list[tuple[np.ndarray, int] | None] = [None] * (len(keep) + len(failures))
+    if not keep:
+        return rows, failures
+    n_deltas, n_div = len(config.deltas), len(DIVERGENCE_NAMES)
+    n_freq = pmfs[0][0].shape[0] // n_deltas
+    values = np.empty((len(keep), n_freq, len(config.bases), n_deltas, n_div))
+    capped = np.zeros(len(keep), dtype=np.int64)
+    for b, base in enumerate(config.bases):
+        probs = np.concatenate([record[b] for record in pmfs])
+        divs, converged = fitted_divergences(probs, base, config.alpha, config.epsilon)
+        values[:, :, b] = divs.reshape(len(keep), n_freq, n_deltas, n_div)
+        capped += np.count_nonzero(~converged.reshape(len(keep), -1), axis=1)
+    values = values.reshape(len(keep), -1)
+    for row, idx in enumerate(keep):
+        rows[idx] = (values[row], int(capped[row]))
+    return rows, failures

@@ -30,10 +30,11 @@ from . import fd_features, parallel
 from .audio_io import AudioBuffer
 from .cepstral import CepstralConfig, mfcc
 from .exceptions import DesignFailure, FdspoofError, SettingError
-# fit_benford and divergences are the single-pmf path, which a sweep no
-# longer calls; they stay bound here because the benchmark's tracer
-# (benchmark/tracer.py) wraps them by these names on this module.
-from .fd_features import digit_pmf, divergences, fit_benford  # noqa: F401
+from .fd_features import FdConfig, digit_pmf
+# fit_benford and divergences, the single-pmf wrappers, are not called here;
+# they stay bound because the benchmark's tracer (benchmark/tracer.py) wraps
+# them by these names on this module.
+from .fd_features import divergences, fit_benford  # noqa: F401
 
 REMEZ_MAX_ITER = 50
 SWEEP_BASE = 10
@@ -44,15 +45,12 @@ class FirDesignSpec:
     n_coeffs: int
     passband_edge: float = 0.2
     stopband_edge: float = 0.7
-    design_method: str = "equiripple"
 
     def __post_init__(self) -> None:
         if self.n_coeffs < 3:
             raise SettingError("n_coeffs must be >= 3")
         if not (0.0 < self.passband_edge < self.stopband_edge < 1.0):
             raise SettingError("need 0 < passband_edge < stopband_edge < 1 (Nyquist units)")
-        if self.design_method != "equiripple":
-            raise SettingError("only equiripple design is supported")
 
 
 @dataclass(frozen=True)
@@ -145,26 +143,27 @@ def apply_fir(buffer: AudioBuffer, coeffs: np.ndarray) -> AudioBuffer:
                        source_id=buffer.source_id + "+fir")
 
 
-def _sweep_chunk(trials, signal_len: int, cepstral_cfg: CepstralConfig, alpha: float,
-                 epsilon: float, min_digits: int) -> list[tuple[float, bool] | str]:
+def _sweep_chunk(trials, signal_len: int) -> list[tuple[float, bool] | str]:
     """(js, whether the fit hit the iteration cap) of every (coeffs, delta,
     frequency, seed) trial, or the text of the error that stopped it; the
-    chunk's pmfs share one batched fit."""
+    chunk's pmfs share one batched fit. MFCC and features use the default
+    `CepstralConfig` and `FdConfig`."""
+    fd_cfg = FdConfig()
     outcomes: list[int | str] = []  # a row of `pmfs`, or the error text
     pmfs = []
     for coeffs, delta, frequency, trial_seed in trials:
         try:
             buffer = apply_fir(gaussian_source(signal_len, trial_seed), coeffs)
-            matrix = mfcc(buffer, cepstral_cfg)
+            matrix = mfcc(buffer)
             column = matrix.values[:, matrix.frequencies.index(frequency)]
-            pmfs.append(digit_pmf(column, delta, SWEEP_BASE, min_digits).probabilities)
+            pmfs.append(digit_pmf(column, delta, SWEEP_BASE, fd_cfg.min_digits).probabilities)
             outcomes.append(len(pmfs) - 1)
         except FdspoofError as exc:
             outcomes.append(f"{type(exc).__name__}: {exc}")
     if not pmfs:
         return outcomes
-    divs, converged = fd_features.fitted_divergences(np.array(pmfs), SWEEP_BASE, alpha,
-                                                     epsilon)
+    divs, converged = fd_features.fitted_divergences(np.array(pmfs), SWEEP_BASE,
+                                                     fd_cfg.alpha, fd_cfg.epsilon)
     return [o if isinstance(o, str) else (float(divs[o, 0]), not converged[o])
             for o in outcomes]
 
@@ -176,10 +175,6 @@ def divergence_sweep(
     n_trials: int = 20,
     signal_len: int = 2 ** 20,
     seed: int = 0,
-    cepstral_cfg: CepstralConfig | None = None,
-    alpha: float = 0.3,
-    epsilon: float = 1e-10,
-    min_digits: int = 10,
     jobs: int = 1,
 ) -> SweepResult:
     """Mean and std of the fitted-vs-empirical js per (n_coeffs, delta, frequency),
@@ -191,7 +186,7 @@ def divergence_sweep(
     trial fails. Every setting is checked, as SettingError, before any trial
     runs.
     """
-    cepstral_cfg = cepstral_cfg or CepstralConfig()
+    cepstral_cfg = CepstralConfig()
     if n_trials < 1:
         raise SettingError("n_trials must be >= 1")
     if signal_len < cepstral_cfg.frame_len:
@@ -218,9 +213,7 @@ def divergence_sweep(
         for trial in range(n_trials)
     ]
     outcomes = parallel.map_chunks(
-        partial(_sweep_chunk, signal_len=signal_len, cepstral_cfg=cepstral_cfg,
-                alpha=alpha, epsilon=epsilon, min_digits=min_digits),
-        trials, jobs,
+        partial(_sweep_chunk, signal_len=signal_len), trials, jobs,
     )
 
     rows = []

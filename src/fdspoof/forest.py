@@ -137,15 +137,16 @@ def _best_split(block: np.ndarray, y: np.ndarray, criterion: str, min_leaf: int)
     return column, float(threshold), float(gain[cut, column])
 
 
-def _grow(data: LabeledDataset, config: ForestConfig, seed: int, bootstrap: bool) -> Tree:
+def _grow(data: LabeledDataset, config: ForestConfig, seed: int) -> Tree:
     """Depth-first, left-child-first growth with an explicit stack.
 
-    Both the bootstrap rows and the per-node feature draws derive from `seed`.
+    Both the bootstrap rows (all rows, in order, without `config.bootstrap`)
+    and the per-node feature draws derive from `seed`.
     """
     X, y, n = data.features, data.labels, data.n_records
     n_features_split = _resolve_features_per_split(config, X.shape[1])
     rows = np.arange(n)
-    if bootstrap:
+    if config.bootstrap:
         rows = np.sort(np.random.default_rng(seed).integers(0, n, size=n))
     rng = np.random.default_rng(seed)
     feature: list[int] = []
@@ -200,21 +201,13 @@ def _resolve_features_per_split(config: ForestConfig, n_features: int) -> int:
     return k
 
 
-def train_tree(data: LabeledDataset, config: ForestConfig, tree_seed: int) -> Tree:
-    """Grow one CART tree on the whole dataset (no bootstrap here)."""
-    if data.n_records == 0:
-        raise EmptyDataset("cannot train on an empty dataset")
-    return _grow(data, config, tree_seed, bootstrap=False)
-
-
 def train_forest(data: LabeledDataset, config: ForestConfig) -> TrainedModel:
     """Train n_trees trees, each on an independent seeded bootstrap."""
     if data.n_records == 0:
         raise EmptyDataset("cannot train on an empty dataset")
     if len(np.unique(data.labels)) < 2:
         raise EmptyDataset("training data must contain both classes")
-    trees = tuple(_grow(data, config, config.seed + t, config.bootstrap)
-                  for t in range(config.n_trees))
+    trees = tuple(_grow(data, config, config.seed + t) for t in range(config.n_trees))
     return TrainedModel(trees=trees, config=config, layout_hash=data.layout_hash)
 
 

@@ -20,7 +20,7 @@ from conftest import make_blobs, make_filtered_clip
 from fdspoof import asvspoof, audio_io, fd_features as fd, firsim, segmentation
 from fdspoof.asvspoof import ProtocolEntry, build_dataset
 from fdspoof.audio_io import AudioBuffer
-from fdspoof.forest import ForestConfig, grid_search, save_model, train_forest, train_tree
+from fdspoof.forest import ForestConfig, grid_search, save_model, train_forest
 from fdspoof.forest import LabeledDataset, accuracy as forest_accuracy
 from fdspoof.segmentation import EnergyConfig, SegmentKind
 from test_forest import walk_tree
@@ -59,9 +59,12 @@ def test_criterion_1_first_digit_oracle_equivalence():
 
 def test_criterion_2_benford_identities():
     with criterion(2, "classic Benford curve normalizes and hits p(1)=log10(2)"):
-        total = sum(fd.benford_ideal(d, 10, 1.0, 0.0, 1.0) for d in range(1, 10))
+        # the evaluator the fit and the divergences use
+        curve = fd._curve_batch(np.array([[1.0, 0.0, 1.0]]),
+                                np.log(np.arange(1, 10, dtype=float)), math.log(10))[0]
+        total = sum(curve)
         assert abs(total - 1.0) < 1e-12
-        assert fd.benford_ideal(1, 10, 1.0, 0.0, 1.0) == pytest.approx(0.301030, abs=1e-6)
+        assert curve[0] == pytest.approx(0.301030, abs=1e-6)
 
 
 def test_criterion_3_divergence_identities():
@@ -164,7 +167,8 @@ def test_criterion_8_forest_sanity(tmp_path):
         xor_features = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         xor = LabeledDataset(xor_features, np.array([0, 1, 1, 0]),
                              ("a", "b", "c", "d"), "xor")
-        tree = train_tree(xor, ForestConfig(features_per_split=2), tree_seed=0)
+        tree = train_forest(xor, ForestConfig(n_trees=1, features_per_split=2, seed=0,
+                                              bootstrap=False)).trees[0]
         assert [walk_tree(tree, r) for r in xor_features] == [0, 1, 1, 0]
 
         for name in ("m1.json", "m2.json"):
@@ -278,9 +282,8 @@ def test_criterion_11_table_one_vs_one(corpus_models):
         sub_train, _ = asvspoof.select_columns(train_ds, layout, (10, 20), (1.0, 2.0, 3.0))
         sub_dev, _ = asvspoof.select_columns(dev_ds, layout, (10, 20), (1.0, 2.0, 3.0))
         model, _ = grid_search(sub_train, sub_dev, seed=0)
-        bonafide, by_system = asvspoof.split_by_system(sub_dev)
-        report = asvspoof.one_vs_one_eval(model, bonafide, by_system, "silence", "d1-3")
-        by_id = {row.system_id: row.accuracy for row in report.rows}
+        rows = asvspoof.evaluate_with_aggregate(model, sub_dev, "silence", "d1-3").rows[:-1]
+        by_id = {row.system_id: row.accuracy for row in rows}
         assert by_id["A02"] == pytest.approx(0.972, abs=0.05)
         assert by_id["A05"] == pytest.approx(0.964, abs=0.05)
         assert by_id["A06"] == pytest.approx(0.466, abs=0.05)
@@ -305,8 +308,7 @@ def test_criterion_13_qualitative_orderings(corpus_models):
         def dev_mean_accuracy(kind):
             train_ds, dev_ds, _ = corpus_models[kind]
             model, _ = grid_search(train_ds, dev_ds, seed=0)
-            bonafide, by_system = asvspoof.split_by_system(dev_ds)
-            rows = asvspoof.one_vs_one_eval(model, bonafide, by_system, "x", "x").rows
+            rows = asvspoof.evaluate_with_aggregate(model, dev_ds, "x", "x").rows[:-1]
             return float(np.mean([r.accuracy for r in rows]))
 
         voiced = dev_mean_accuracy(SegmentKind.VOICED)
@@ -318,8 +320,7 @@ def test_criterion_13_qualitative_orderings(corpus_models):
         train_ds, _, eval_ds = corpus_models[SegmentKind.SILENCE]
         _, dev_ds, _ = corpus_models[SegmentKind.SILENCE]
         model, _ = grid_search(train_ds, dev_ds, seed=0)
-        bonafide, by_system = asvspoof.split_by_system(eval_ds)
-        rows = asvspoof.one_vs_one_eval(model, bonafide, by_system, "x", "x").rows
+        rows = asvspoof.evaluate_with_aggregate(model, eval_ds, "x", "x").rows[:-1]
         by_id = {r.system_id: r.accuracy for r in rows}
         vc = [by_id[s] for s in ("A17", "A18", "A19") if s in by_id]
         tts = [v for s, v in by_id.items() if s not in ("A17", "A18", "A19")]

@@ -6,20 +6,22 @@ import pytest
 from conftest import make_filtered_clip
 from fdspoof import asvspoof, audio_io
 from fdspoof.asvspoof import (
+    EvalRow,
     ProtocolEntry,
     balance_training,
     build_dataset,
-    one_vs_one_eval,
+    evaluate_with_aggregate,
     parse_protocol,
     read_feature_csv,
     select_columns,
-    split_by_system,
+    subset_records,
     write_feature_csv,
 )
 from fdspoof.exceptions import DegenerateProtocol, MissingAudio, ParseError
 from fdspoof.fd_features import FdConfig, feature_layout, layout_hash
-from fdspoof.forest import ForestConfig, LabeledDataset, TrainedModel, Tree
+from fdspoof.forest import ForestConfig, LabeledDataset, TrainedModel, Tree, predict_batch
 from fdspoof.segmentation import SegmentKind
+from fdspoof.forest import grid_search
 from test_forest import grid_by_cells
 
 
@@ -242,22 +244,46 @@ def synthetic_dataset(n_per_class, layout, seed, systems=("A01", "A02")):
                           layout_hash(layout), tuple(sys_ids))
 
 
+def stacked_eval(model, dataset, segment_label, config_label):
+    """Reference evaluation: for every spoof system, the bonafide records
+    (system `-`) and that system's records are stacked and predicted on their
+    own; the whole set is predicted once more for `ALL`."""
+    def scores(data):
+        preds = predict_batch(model, data)
+        recalls = [float(np.mean(preds[data.labels == cls] == cls)) for cls in (0, 1)
+                   if np.any(data.labels == cls)]
+        return float(np.mean(preds == data.labels)), float(np.mean(recalls))
+
+    systems = np.array(dataset.system_ids)
+    bonafide = subset_records(dataset, systems == "-")
+    rows = []
+    for system in sorted(set(dataset.system_ids) - {"-"}):
+        spoofs = subset_records(dataset, systems == system)
+        stacked = LabeledDataset(np.vstack([bonafide.features, spoofs.features]),
+                                 np.concatenate([bonafide.labels, spoofs.labels]),
+                                 bonafide.record_ids + spoofs.record_ids, dataset.layout_hash,
+                                 bonafide.system_ids + spoofs.system_ids)
+        rows.append(EvalRow(system, segment_label, config_label, *scores(stacked),
+                            bonafide.n_records, spoofs.n_records))
+    n_spoof = int(np.sum(dataset.labels == 1))
+    rows.append(EvalRow("ALL", segment_label, config_label, *scores(dataset),
+                        dataset.n_records - n_spoof, n_spoof))
+    return tuple(rows)
+
+
 class TestEvaluation:
     def test_constant_spoof_predictor_scores_half(self):
         layout = feature_layout(FdConfig(), (2,))
         data = synthetic_dataset(10, layout, seed=3)
         model = leaf_model(1, data.layout_hash)
-        bonafide, by_system = split_by_system(data)
-        report = one_vs_one_eval(model, bonafide, by_system, "full", "const")
-        for row in report.rows:
+        report = evaluate_with_aggregate(model, data, "full", "const")
+        for row in report.rows[:-1]:
             assert row.accuracy == pytest.approx(row.n_spoof / (row.n_bonafide + row.n_spoof))
             assert row.balanced_accuracy == 0.5
 
     def test_perfect_predictor(self):
         layout = feature_layout(FdConfig(), (2,))
         data = synthetic_dataset(12, layout, seed=4)
-        from fdspoof.forest import grid_search
-
         train = synthetic_dataset(12, layout, seed=5)
         model, _ = grid_search(train, data, [ForestConfig(n_trees=10, seed=0)])
         report = asvspoof.evaluate_with_aggregate(model, data, "full", "10xgini")
@@ -265,6 +291,40 @@ class TestEvaluation:
         assert report.rows[-1].system_id == "ALL"
         assert report.rows[-1].n_bonafide == 12
         assert report.rows[-1].n_spoof == 12
+
+    def test_one_prediction_matches_stacked_per_system_predictions(self, monkeypatch):
+        # noisy features so that the forest makes mistakes in every class;
+        # systems come unsorted, A09 has a single record, and three records
+        # disagree with their system mark (two spoofs marked `-`, a bonafide
+        # marked A01), which separates counting by system from counting by label
+        layout = feature_layout(FdConfig(), (2,))
+        rng = np.random.default_rng(15)
+        systems = ["-"] * 20 + ["A07", "A01", "A04"] * 6 + ["A09"]
+        labels = np.array([0 if s == "-" else 1 for s in systems])
+        labels[3], labels[4], labels[21] = 1, 1, 0
+        features = rng.normal(0.0, 1.0, (len(systems), len(layout))) + 1.5 * labels[:, None]
+        data = LabeledDataset(features, labels, tuple(f"r{i:02d}" for i in range(len(systems))),
+                              layout_hash(layout), tuple(systems))
+        train = synthetic_dataset(20, layout, seed=16, systems=("A07", "A01"))
+        noisy = LabeledDataset(train.features + rng.normal(0.0, 3.0, train.features.shape),
+                               train.labels, train.record_ids, train.layout_hash,
+                               train.system_ids)
+        model = grid_search(noisy, noisy, [ForestConfig(n_trees=7, seed=2)])[0]
+
+        calls = []
+
+        def counted(model, dataset):
+            calls.append(dataset.n_records)
+            return predict_batch(model, dataset)
+
+        monkeypatch.setattr(asvspoof, "predict_batch", counted)
+        rows = evaluate_with_aggregate(model, data, "silence", "7xgini").rows
+        assert calls == [data.n_records]
+        assert rows == stacked_eval(model, data, "silence", "7xgini")
+        assert [r.system_id for r in rows] == ["A01", "A04", "A07", "A09", "ALL"]
+        assert [(r.n_bonafide, r.n_spoof) for r in rows] == [
+            (20, 6), (20, 6), (20, 6), (20, 1), (19, 20)]
+        assert len({r.accuracy for r in rows}) > 2
 
 
 class TestColumnSelection:

@@ -266,7 +266,6 @@ class TestSegmentReport:
 class TestAblateCommand:
     def test_ablate_runs_on_synthetic_features(self, tmp_path):
         layout = feature_layout(FdConfig(), tuple(range(2, 15)))
-        rng = np.random.default_rng(1)
 
         def synth(seed, n=6):
             rows, labels, ids, systems = [], [], [], []
@@ -281,10 +280,10 @@ class TestAblateCommand:
                                   layout_hash(layout), tuple(systems))
 
         paths = {}
-        for segment in ("silence", "full", "voiced"):
+        for index, segment in enumerate(("silence", "full", "voiced")):
             for role, seed in (("train", 1), ("dev", 2)):
                 path = tmp_path / f"{segment}_{role}.csv"
-                write_feature_csv(path, synth(seed * 10 + hash(segment) % 7), layout)
+                write_feature_csv(path, synth(seed * 10 + index), layout)
                 paths[f"{role}_{segment}"] = str(path)
 
         out = tmp_path / "ablation.csv"

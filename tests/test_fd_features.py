@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdspoof import fd_features as fd
 from fdspoof.cepstral import CepstralMatrix
-from fdspoof.exceptions import DomainError, InsufficientDigits, ZeroValue
+from fdspoof.exceptions import InsufficientDigits
 
 
 def brute_force_first_digit(x, base):
@@ -37,8 +37,28 @@ def oracle_divergences(p, q, alpha=0.3, epsilon=1e-10):
 
 
 def benford_probs(base=10, beta=1.0, gamma=0.0, delta=1.0):
+    """numpy oracle of the curve, with d ** delta rather than the package's
+    exp(delta * ln d)."""
     d = np.arange(1, base, dtype=float)
     return beta * np.log1p(1.0 / (gamma + d ** delta)) / np.log(base)
+
+
+def curve(base, beta, gamma, delta):
+    """The package's curve at d = 1..base-1, from the evaluator the fit uses."""
+    ln_digits = np.log(np.arange(1, base, dtype=float))
+    return fd._curve_batch(np.array([[beta, gamma, delta]]), ln_digits, math.log(base))[0]
+
+
+def first_digit(x, base):
+    return int(fd._first_digits(np.array([abs(float(x))]), base)[0])
+
+
+def features(matrix):
+    """(values, capped fits) of one matrix; raises the record's failure."""
+    (row,), failures = fd.assemble_features_many([matrix])
+    if failures:
+        raise failures[0][1]
+    return row
 
 
 class TestQuantize:
@@ -54,23 +74,19 @@ class TestQuantize:
 
 class TestFirstDigit:
     def test_small_value(self):
-        assert fd.first_digit(0.00932, 10) == 9
+        assert first_digit(0.00932, 10) == 9
 
     def test_power_of_base(self):
-        assert fd.first_digit(1.0, 10) == 1
+        assert first_digit(1.0, 10) == 1
 
     def test_base_20(self):
-        assert fd.first_digit(123.4, 20) == 6
-
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroValue):
-            fd.first_digit(0.0, 10)
+        assert first_digit(123.4, 20) == 6
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(1)
         values = 10.0 ** rng.uniform(-6, 6, 5000)
         for base in (10, 20):
-            got = [fd.first_digit(v, base) for v in values]
+            got = fd._first_digits(values.copy(), base).tolist()
             want = [brute_force_first_digit(v, base) for v in values]
             assert got == want
 
@@ -79,7 +95,7 @@ class TestFirstDigit:
         st.integers(-5, 5),
     )
     def test_mantissa_invariance(self, mantissa, k):
-        assert fd.first_digit(mantissa * 10.0 ** k, 10) == fd.first_digit(mantissa, 10)
+        assert first_digit(mantissa * 10.0 ** k, 10) == first_digit(mantissa, 10)
 
 
 class TestDigitPmf:
@@ -123,19 +139,27 @@ class TestDigitPmf:
 
 
 class TestBenfordIdeal:
+    """The generalized Benford curve, through the evaluator the fit uses."""
+
     def test_classic_p1(self):
-        assert fd.benford_ideal(1, 10, 1.0, 0.0, 1.0) == pytest.approx(0.301030, abs=1e-6)
+        assert curve(10, 1.0, 0.0, 1.0)[0] == pytest.approx(0.301030, abs=1e-6)
 
     def test_classic_p9(self):
-        assert fd.benford_ideal(9, 10, 1.0, 0.0, 1.0) == pytest.approx(0.045757, abs=1e-6)
+        assert curve(10, 1.0, 0.0, 1.0)[8] == pytest.approx(0.045757, abs=1e-6)
 
     def test_telescoping_normalization(self):
-        total = sum(fd.benford_ideal(d, 10, 1.0, 0.0, 1.0) for d in range(1, 10))
+        total = sum(curve(10, 1.0, 0.0, 1.0))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            fd.benford_ideal(1, 10, 1.0, -2.0, 1.0)
+        # gamma + d^delta <= 0 at d = 1 and 2 only: nan shape, infinite mse
+        ln_digits = np.log(np.arange(1, 10, dtype=float))
+        shape = fd._shape_batch(np.array([-2.5, 1.0]), ln_digits, math.log(10))
+        assert np.isnan(shape[:2]).all() and np.isfinite(shape[2:]).all()
+        probs = benford_probs()[None, :]
+        _, mse = fd._projected_batch(np.array([[[-2.5, 1.0], [0.0, 1.0]]]), probs,
+                                     ln_digits, math.log(10))
+        assert mse[0, 0] == np.inf and mse[0, 1] < 1e-20
 
 
 class TestFitBenford:
@@ -144,8 +168,8 @@ class TestFitBenford:
         fit = fd.fit_benford(pmf)
         assert fit.converged
         assert fit.residual_mse < 1e-10
-        curve = fd.benford_ideal(np.arange(1, 10), 10, fit.beta, fit.gamma, fit.delta_exp)
-        assert np.allclose(curve, pmf.probabilities, atol=1e-5)
+        fitted = curve(10, fit.beta, fit.gamma, fit.delta_exp)
+        assert np.allclose(fitted, pmf.probabilities, atol=1e-5)
 
     def test_generate_then_fit_recovers_curve(self):
         probs = benford_probs(10, 1.05, 0.2, 0.9)
@@ -269,7 +293,7 @@ class TestDivergences:
         probs = rng.dirichlet(np.ones(9))
         pmf = fd.DigitPmf(10, probs, 500)
         fit = fd.fit_benford(pmf)
-        q = fd.benford_ideal(np.arange(1, 10), 10, fit.beta, fit.gamma, fit.delta_exp)
+        q = benford_probs(10, fit.beta, fit.gamma, fit.delta_exp)
         want = oracle_divergences(list(probs), list(q))
         got = fd.divergences(pmf, fit)
         assert got.js == pytest.approx(want[0], rel=1e-9)
@@ -310,11 +334,12 @@ class TestAssemble:
     def test_default_layout_is_416(self):
         rng = np.random.default_rng(8)
         matrix = matrix_from_columns([10.0 ** rng.uniform(-2, 2, 64) for _ in range(13)])
-        fv = fd.assemble_features(matrix)
-        assert fv.values.shape == (416,)
-        assert len(fv.layout) == 416
-        assert fv.layout[0].name == "js_f2_b10_d1"
-        assert fv.layout[-1].name == "mse_f14_b20_d4"
+        values, _ = features(matrix)
+        layout = fd.feature_layout(fd.FdConfig(), matrix.frequencies)
+        assert values.shape == (416,)
+        assert len(layout) == 416
+        assert layout[0].name == "js_f2_b10_d1"
+        assert layout[-1].name == "mse_f14_b20_d4"
 
     def test_layout_is_pure_function_of_config(self):
         cfg = fd.FdConfig()
@@ -331,15 +356,15 @@ class TestAssemble:
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         matrix = matrix_from_columns([10.0 ** rng.uniform(-2, 2, 64) for _ in range(13)])
-        a = fd.assemble_features(matrix)
-        b = fd.assemble_features(matrix)
-        assert np.array_equal(a.values, b.values)
+        a, _ = features(matrix)
+        b, _ = features(matrix)
+        assert np.array_equal(a, b)
 
     def test_insufficient_digits_propagates_cell(self):
         cols = [10.0 ** np.random.default_rng(10).uniform(-2, 2, 64) for _ in range(13)]
         cols[4] = np.zeros(64)
         with pytest.raises(InsufficientDigits, match=r"f=6"):
-            fd.assemble_features(matrix_from_columns(cols))
+            features(matrix_from_columns(cols))
 
     def test_batched_assembly_matches_single(self):
         rng = np.random.default_rng(11)
@@ -349,8 +374,36 @@ class TestAssemble:
         ]
         many, failures = fd.assemble_features_many(matrices)
         assert not failures
-        for matrix, combined in zip(matrices, many):
-            assert np.array_equal(fd.assemble_features(matrix).values, combined.values)
+        for matrix, (values, capped) in zip(matrices, many):
+            alone = features(matrix)
+            assert np.array_equal(alone[0], values) and alone[1] == capped
+
+    def test_columns_follow_the_layout(self):
+        # every column is its cell's pmf fitted alone, at the layout's position
+        rng = np.random.default_rng(16)
+        matrix = matrix_from_columns([10.0 ** rng.uniform(-2, 2, 64) for _ in range(3)])
+        config = fd.FdConfig(bases=(20, 10), deltas=(3.0, 1.0))
+        (values, _), = fd.assemble_features_many([matrix], config)[0]
+        layout = fd.feature_layout(config, matrix.frequencies)
+        for i in range(0, len(layout), len(fd.DIVERGENCE_NAMES)):
+            cell = layout[i]
+            column = matrix.values[:, matrix.frequencies.index(cell.frequency)]
+            pmf = fd.digit_pmf(column, cell.delta, cell.base)
+            alone, _ = fd.fitted_divergences(pmf.probabilities[None, :], cell.base,
+                                             config.alpha, config.epsilon)
+            assert np.array_equal(values[i : i + len(fd.DIVERGENCE_NAMES)], alone[0]), cell
+
+    def test_failed_record_leaves_its_place_empty(self):
+        rng = np.random.default_rng(14)
+        cols = [10.0 ** rng.uniform(-2, 2, 64) for _ in range(13)]
+        good = matrix_from_columns(cols)
+        bad = matrix_from_columns(cols[:4] + [np.zeros(64)] + cols[5:])
+        rows, failures = fd.assemble_features_many([good, bad, good])
+        assert rows[1] is None
+        assert [idx for idx, _ in failures] == [1]
+        assert isinstance(failures[0][1], InsufficientDigits)
+        assert np.array_equal(rows[0][0], rows[2][0]) and rows[0][1] == rows[2][1]
+        assert np.array_equal(rows[0][0], features(good)[0])
 
     def test_benford_matrix_scores_below_uniform_matrix(self):
         # Columns with log-uniform mantissas follow the Benford law for every
@@ -365,14 +418,15 @@ class TestAssemble:
             (rng.choice((2.0, 8.0), n) + rng.uniform(0, 1, n)) * 10.0 ** rng.integers(-3, 3, n)
             for _ in range(13)
         ]
-        fv_benford = fd.assemble_features(matrix_from_columns(benford_cols))
-        fv_contrast = fd.assemble_features(matrix_from_columns(contrast_cols))
+        fv_benford, _ = features(matrix_from_columns(benford_cols))
+        fv_contrast, _ = features(matrix_from_columns(contrast_cols))
+        layout = fd.feature_layout(fd.FdConfig(), range(2, 15))
 
         # The contrast lies outside the family by a margin that does not depend
         # on the fit: even the best monotone curve is 10x further away in mse
         # than the fitted curve is from the Benford side.
         config = fd.FdConfig()
-        mse_benford = iter(value for value, desc in zip(fv_benford.values, fv_benford.layout)
+        mse_benford = iter(value for value, desc in zip(fv_benford, layout)
                            if desc.divergence == "mse")
         for column in contrast_cols:
             for base in config.bases:
@@ -381,8 +435,7 @@ class TestAssemble:
                     assert bound >= 10.0 * next(mse_benford), (base, delta)
 
         # renyi is <= 0 and falls as the gap grows, so it orders by magnitude
-        sign = np.array([-1.0 if desc.divergence == "renyi" else 1.0
-                         for desc in fv_benford.layout])
-        assert np.all(sign * fv_benford.values < sign * fv_contrast.values), (
+        sign = np.array([-1.0 if desc.divergence == "renyi" else 1.0 for desc in layout])
+        assert np.all(sign * fv_benford < sign * fv_contrast), (
             "some cells score the Benford columns at or above the non-monotone ones"
         )

@@ -1,6 +1,6 @@
 import itertools
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,7 +24,6 @@ from fdspoof.forest import (
     predict_batch,
     save_model,
     train_forest,
-    train_tree,
 )
 
 
@@ -150,6 +149,11 @@ def grid_by_cells(train, dev, grid):
     return best[1], report
 
 
+def one_tree(data, config, seed):
+    """The tree that a one-tree forest without bootstrap grows from `seed`."""
+    return train_forest(data, replace(config, n_trees=1, bootstrap=False, seed=seed)).trees[0]
+
+
 def gini_of(counts):
     total = sum(counts)
     return 1.0 - sum((c / total) ** 2 for c in counts)
@@ -158,35 +162,36 @@ def gini_of(counts):
 class TestTrainTree:
     def test_forced_split(self):
         data = dataset_of([[0.0], [1.0]], [0, 1])
-        tree = train_tree(data, ForestConfig(features_per_split=1), tree_seed=0)
+        tree = one_tree(data, ForestConfig(features_per_split=1), seed=0)
         assert tree.threshold[0] == 0.5
         assert sorted([tree.counts[1].tolist(), tree.counts[2].tolist()]) == [[0, 1], [1, 0]]
 
     def test_single_class_single_leaf(self):
         data = dataset_of([[0.0], [1.0], [2.0]], [1, 1, 1])
-        tree = train_tree(data, ForestConfig(features_per_split=1), tree_seed=0)
+        # train_forest rejects one-class data, so grow the tree directly
+        tree = forest._grow(data, ForestConfig(features_per_split=1, bootstrap=False), 0)
         assert len(tree.feature) == 1
         assert tree.counts[0].tolist() == [0, 3]
 
     def test_xor_reaches_purity(self):
         data = dataset_of([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], [0, 1, 1, 0])
-        tree = train_tree(data, ForestConfig(features_per_split=2), tree_seed=3)
+        tree = one_tree(data, ForestConfig(features_per_split=2), seed=3)
         preds = [walk_tree(tree, row) for row in data.features]
         assert preds == [0, 1, 1, 0]
 
     def test_max_depth_respected(self):
         data = make_blobs(50)
-        tree = train_tree(data, ForestConfig(max_depth=0), tree_seed=0)
+        tree = one_tree(data, ForestConfig(max_depth=0), seed=0)
         assert len(tree.feature) == 1  # root forced to be a leaf
 
     def test_empty_rejected(self):
         data = dataset_of(np.zeros((0, 2)), np.zeros(0, dtype=int))
         with pytest.raises(EmptyDataset):
-            train_tree(data, ForestConfig(), tree_seed=0)
+            one_tree(data, ForestConfig(), seed=0)
 
     def test_gain_recomputed_from_child_counts(self):
         data = make_blobs(60, seed=2)
-        tree = train_tree(data, ForestConfig(criterion="gini", features_per_split=5), 7)
+        tree = one_tree(data, ForestConfig(criterion="gini", features_per_split=5), 7)
         for node in range(len(tree.feature)):
             if tree.left[node] == -1:
                 continue
@@ -222,22 +227,13 @@ class TestSplitOracle:
     def test_node_without_a_cut_is_a_leaf(self, features, labels, min_leaf, counts):
         data = dataset_of(features, labels)
         config = ForestConfig(min_samples_leaf=min_leaf)
-        tree = train_tree(data, config, tree_seed=0)
+        tree = one_tree(data, config, seed=0)
         assert tree.feature.tolist() == [-1]
         assert tree.counts.tolist() == [counts]
         assert_same_tree(tree, grow_by_feature(data, config, 0, bootstrap=False))
 
 
 class TestTrainForest:
-    def test_degenerate_forest_equals_single_tree(self, blobs):
-        config = ForestConfig(n_trees=1, features_per_split=blobs.features.shape[1],
-                              seed=9, bootstrap=False)
-        model = train_forest(blobs, config)
-        lone = train_tree(blobs, config, tree_seed=9)
-        assert np.array_equal(model.trees[0].feature, lone.feature)
-        assert np.array_equal(model.trees[0].threshold, lone.threshold)
-        assert np.array_equal(model.trees[0].counts, lone.counts)
-
     def test_deterministic(self, blobs):
         config = ForestConfig(n_trees=20, seed=4)
         a = train_forest(blobs, config)
