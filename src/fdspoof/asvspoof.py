@@ -70,14 +70,20 @@ class EvaluationReport:
     rows: tuple[EvalRow, ...]
 
 
-def parse_protocol(path: str | Path) -> list[ProtocolEntry]:
-    """Parse an ASVSpoof 2019 LA style protocol file."""
+def read_text(path: str | Path, line_label: str) -> str:
+    """The text of a UTF-8 file; ParseError `<line_label><n>: not UTF-8 text`
+    naming the first line n that does not decode."""
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"line {lineno}: not UTF-8 text: {exc.reason}") from None
+        raise ParseError(f"{line_label}{lineno}: not UTF-8 text: {exc.reason}") from None
+
+
+def parse_protocol(path: str | Path) -> list[ProtocolEntry]:
+    """Parse an ASVSpoof 2019 LA style protocol file."""
+    text = read_text(path, "line ")
     entries = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -136,12 +142,13 @@ def hop_for_segment(kind: SegmentKind, config: CepstralConfig) -> int:
     return SILENCE_HOP if kind is SegmentKind.SILENCE else config.hop
 
 
-def _record_matrix(
+def _record_pmfs(
     path: Path,
     kind: SegmentKind,
     cepstral_cfg: CepstralConfig,
+    fd_cfg: FdConfig,
     energy_cfg: EnergyConfig,
-) -> cepstral.CepstralMatrix:
+) -> list[np.ndarray]:
     buffer = audio_io.decode(path)
     buffer = audio_io.strip_zeros(buffer)
     buffer = audio_io.peak_normalize(buffer)
@@ -154,7 +161,8 @@ def _record_matrix(
                 f"need {cepstral_cfg.frame_len}"
             )
         buffer = segmentation.extract(buffer, view)
-    return cepstral.mfcc(buffer, replace(cepstral_cfg, hop=hop_for_segment(kind, cepstral_cfg)))
+    matrix = cepstral.mfcc(buffer, replace(cepstral_cfg, hop=hop_for_segment(kind, cepstral_cfg)))
+    return fd_features.cell_pmfs(matrix, fd_cfg)
 
 
 _SKIPPABLE = (EmptySignal, TooShort, InsufficientData, InsufficientDigits)
@@ -173,20 +181,16 @@ def _extract_chunk(
 ) -> list[tuple[np.ndarray, int] | SkipRecord]:
     """(feature row, number of capped fits) or skip record of every path, in
     order; the chunk's records share one batched fit per base."""
-    outcomes: list[tuple[np.ndarray, int] | SkipRecord | None] = [None] * len(paths)
-    matrices, kept = [], []
-    for i, path in enumerate(paths):
+    outcomes: list[int | SkipRecord] = []  # a row of `pmfs`, or the skip
+    pmfs = []
+    for path in paths:
         try:
-            matrices.append(_record_matrix(path, kind, cepstral_cfg, energy_cfg))
-            kept.append(i)
+            pmfs.append(_record_pmfs(path, kind, cepstral_cfg, fd_cfg, energy_cfg))
+            outcomes.append(len(pmfs) - 1)
         except _SKIPPABLE as exc:
-            outcomes[i] = _skip(path.stem, exc)
-    rows, failures = fd_features.assemble_features_many(matrices, fd_cfg)
-    for i, row in zip(kept, rows):
-        outcomes[i] = row
-    for idx, exc in failures:
-        outcomes[kept[idx]] = _skip(paths[kept[idx]].stem, exc)
-    return outcomes
+            outcomes.append(_skip(path.stem, exc))
+    values, capped = fd_features.assemble_features_many(pmfs, fd_cfg)
+    return [o if isinstance(o, SkipRecord) else (values[o], int(capped[o])) for o in outcomes]
 
 
 def build_dataset(

@@ -76,7 +76,7 @@ def write_manifest(out_path: Path, command: str, config: dict,
 
 def read_config_file(path: str | Path) -> dict[str, str]:
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(asvspoof.read_text(path, f"{path}:").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -50,7 +50,12 @@ class InsufficientData(FdspoofError):
 
 
 class InsufficientDigits(FdspoofError):
-    """Too few non-zero values to form a digit distribution."""
+    """Too few non-zero values to form a digit distribution; `cell` is the
+    (column, step) index pair of the short cell where the raiser knows it."""
+
+    def __init__(self, message: str, cell: tuple[int, int] | None = None):
+        super().__init__(message)
+        self.cell = cell
 
 
 # forest

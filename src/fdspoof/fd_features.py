@@ -6,12 +6,13 @@ three-parameter generalized Benford curve beta*log_b(1 + 1/(gamma + d^delta)),
 and emit four divergences between the empirical pmf and the fitted curve
 (symmetrized KL, Renyi, Tsallis, mean square error).
 
-Records take one path: `assemble_features_many` builds every cell pmf of a
-batch of cepstral matrices and fits all of them with one `fit_benford_batch`
-call per base. The curve has one evaluator, `_shape_batch`, which computes
-d^delta as exp(delta * ln d); the fit, its projection and the divergences all
-use it. `fit_benford` and `divergences` are single-pmf wrappers over the same
-batched code.
+Records take one path: `cell_pmfs` builds a record's cell pmfs with one
+`digit_pmf` call per base, and `assemble_features_many` fits the pmfs of a
+batch of records with one `fit_benford_batch` call per base. The curve has one
+evaluator, `_shape_batch`, which computes d^delta as exp(delta * ln d); the
+fit, its projection and the divergences all use it. `fit_benford(probs, base)`
+and `divergences(probs, base, fit)` are single-pmf wrappers over the same
+batched code; no feature path calls them.
 
 The curve fit projects beta out (variable projection): beta enters the curve
 linearly, so at every (gamma, delta_exp) it takes its least-squares value
@@ -58,17 +59,16 @@ class FdConfig:
     def __post_init__(self) -> None:
         if any(b < 2 for b in self.bases):
             raise SettingError("every base must be >= 2")
-        if any(d <= 0 for d in self.deltas):
+        if any(not d > 0 for d in self.deltas):
             raise SettingError("every quantization step must be > 0")
+        if len(set(self.bases)) < len(self.bases) or len(set(self.deltas)) < len(self.deltas):
+            raise SettingError("bases and quantization steps must not repeat")
         if not (0.0 < self.alpha < 1.0):
             raise SettingError("alpha must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class DigitPmf:
-    base: int
-    probabilities: np.ndarray  # indexed d = 1..base-1
-    count: int
+        if not (0.0 < self.epsilon < math.inf):
+            raise SettingError("epsilon must be finite and > 0")
+        if self.min_digits < 1:
+            raise SettingError("min_digits must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -104,13 +104,6 @@ class FeatureDescriptor:
 # digits and pmfs
 # ---------------------------------------------------------------------------
 
-def quantize(m, delta: float):
-    """Rescale a coefficient (or array) by the quantization step; no rounding."""
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
-    return m / delta
-
-
 def _first_digits(magnitudes: np.ndarray, base: int) -> np.ndarray:
     """First base-b digits of strictly positive magnitudes."""
     if base == 10:
@@ -129,17 +122,25 @@ def _first_digits(magnitudes: np.ndarray, base: int) -> np.ndarray:
     return np.floor(mantissa).astype(np.int64)
 
 
-def digit_pmf(values, delta: float, base: int, min_digits: int = 10) -> DigitPmf:
-    """Digit pmf of the quantized non-zero values of one coefficient column."""
-    quantized = quantize(np.asarray(values, dtype=np.float64), delta)
-    nonzero = quantized[quantized != 0.0]
-    if nonzero.size < min_digits:
+def digit_pmf(columns, deltas, base: int, min_digits: int) -> np.ndarray:
+    """(k, len(deltas), base-1) digit pmfs, d = 1..base-1, of the non-zero values
+    of each column of an (n, k) matrix divided by each step; InsufficientDigits,
+    with `cell` = (column, step), for the first short cell in row-major order."""
+    quantized = np.asarray(columns, dtype=np.float64)[:, :, None] / np.asarray(deltas)
+    nonzero = quantized != 0.0
+    counts = np.count_nonzero(nonzero, axis=0)
+    short = np.argwhere(counts < min_digits)
+    if short.size:
+        column, step = (int(i) for i in short[0])
         raise InsufficientDigits(
-            f"{nonzero.size} non-zero values < required {min_digits} (base={base}, delta={delta:g})"
+            f"{counts[column, step]} non-zero values < required {min_digits} "
+            f"(base={base}, delta={deltas[step]:g})",
+            cell=(column, step),
         )
-    digits = _first_digits(np.abs(nonzero), base)
-    counts = np.bincount(digits, minlength=base)[1:base]
-    return DigitPmf(base=base, probabilities=counts / nonzero.size, count=int(nonzero.size))
+    cells = np.broadcast_to(np.arange(counts.size).reshape(counts.shape), quantized.shape)
+    digits = _first_digits(np.abs(quantized[nonzero]), base)
+    tally = np.bincount(cells[nonzero] * base + digits, minlength=counts.size * base)
+    return tally.reshape(*counts.shape, base)[..., 1:] / counts[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +260,9 @@ def fit_benford_batch(probs: np.ndarray, base: int,
     return params, residual, converged
 
 
-def fit_benford(pmf: DigitPmf) -> BenfordFit:
-    """Fit the generalized Benford curve to one digit pmf."""
-    params, residual, converged = fit_benford_batch(pmf.probabilities, pmf.base)
+def fit_benford(probs: np.ndarray, base: int) -> BenfordFit:
+    """Fit the generalized Benford curve to one base-`base` digit pmf."""
+    params, residual, converged = fit_benford_batch(probs, base)
     return BenfordFit(
         beta=float(params[0, 0]),
         gamma=float(params[0, 1]),
@@ -312,17 +313,17 @@ def fitted_divergences(probs: np.ndarray, base: int, alpha: float,
                        epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """(B, 4) divergence rows of a (B, base-1) pmf matrix against its fitted
     curves, with every row fitted in one batch, and the (B,) converged mask of
-    the fits; row i equals the single-pmf `divergences(pmf_i, fit_benford(pmf_i))`
-    bit for bit."""
+    the fits; row i equals the single-pmf
+    `divergences(probs_i, base, fit_benford(probs_i, base))` bit for bit."""
     params, _, converged = fit_benford_batch(probs, base)
     return _divergences_batch(probs, params, base, alpha, epsilon), converged
 
 
-def divergences(pmf: DigitPmf, fit: BenfordFit, alpha: float = 0.3,
+def divergences(probs: np.ndarray, base: int, fit: BenfordFit, alpha: float = 0.3,
                 epsilon: float = 1e-10) -> DivergenceSet:
-    """Divergence set between a digit pmf and its fitted Benford curve."""
+    """Divergence set between a base-`base` digit pmf and its fitted Benford curve."""
     params = np.array([[fit.beta, fit.gamma, fit.delta_exp]])
-    row = _divergences_batch(pmf.probabilities[None, :], params, pmf.base, alpha, epsilon)[0]
+    row = _divergences_batch(np.asarray(probs)[None, :], params, base, alpha, epsilon)[0]
     return DivergenceSet(js=float(row[0]), renyi=float(row[1]),
                          tsallis=float(row[2]), mse=float(row[3]))
 
@@ -355,56 +356,38 @@ def parse_feature_name(name: str) -> FeatureDescriptor:
         raise ValueError(f"unparsable feature column name {name!r}") from None
 
 
-def _cell_pmfs(matrix: CepstralMatrix, config: FdConfig) -> list[np.ndarray]:
+def cell_pmfs(matrix: CepstralMatrix, config: FdConfig) -> list[np.ndarray]:
     """Per base, the (frequencies x deltas, base-1) digit pmfs of every cell,
-    frequency-major, as the layout orders them."""
-    probs: list[list[np.ndarray]] = [[] for _ in config.bases]
-    for f_idx, f in enumerate(matrix.frequencies):
-        column = matrix.values[:, f_idx]
-        for b, base in enumerate(config.bases):
-            for delta in config.deltas:
-                try:
-                    probs[b].append(digit_pmf(column, delta, base, config.min_digits).probabilities)
-                except InsufficientDigits as exc:
-                    raise InsufficientDigits(
-                        f"cell (f={f}, b={base}, delta={delta:g}): {exc}"
-                    ) from None
-    return [np.array(rows) for rows in probs]
-
-
-def assemble_features_many(
-    matrices, config: FdConfig = FdConfig()
-) -> tuple[list[tuple[np.ndarray, int] | None], list[tuple[int, InsufficientDigits]]]:
-    """Feature rows of many cepstral matrices, with one batched fit per base.
-
-    Returns a list aligned with the input, holding (values, capped fits) or
-    None where the record failed, and the (index, error) of every failure.
-    `values` follows `feature_layout`; `capped fits` counts the record's cells
-    whose fit hit the iteration cap. A row does not depend on the other
-    matrices in the batch.
-    """
-    pmfs: list[list[np.ndarray]] = []  # per kept record, per base
-    keep: list[int] = []
-    failures: list[tuple[int, InsufficientDigits]] = []
-    for idx, matrix in enumerate(matrices):
+    frequency-major, as the layout orders them; InsufficientDigits names the
+    first short cell in layout order."""
+    probs = []
+    for base in config.bases:
         try:
-            pmfs.append(_cell_pmfs(matrix, config))
-            keep.append(idx)
+            pmfs = digit_pmf(matrix.values, config.deltas, base, config.min_digits)
         except InsufficientDigits as exc:
-            failures.append((idx, exc))
-    rows: list[tuple[np.ndarray, int] | None] = [None] * (len(keep) + len(failures))
-    if not keep:
-        return rows, failures
-    n_deltas, n_div = len(config.deltas), len(DIVERGENCE_NAMES)
+            column, step = exc.cell
+            raise InsufficientDigits(
+                f"cell (f={matrix.frequencies[column]}, b={base}, "
+                f"delta={config.deltas[step]:g}): {exc}"
+            ) from None
+        probs.append(pmfs.reshape(-1, base - 1))
+    return probs
+
+
+def assemble_features_many(pmfs, config: FdConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(values (records, columns), capped fits (records,)) of many records'
+    `cell_pmfs`, with one batched fit per base. `values` follows `feature_layout`;
+    `capped fits` counts a record's cells whose fit hit the iteration cap. A row
+    does not depend on the other records in the batch."""
+    if not pmfs:
+        return np.empty((0, 0)), np.zeros(0, dtype=np.int64)
+    n_records, n_deltas, n_div = len(pmfs), len(config.deltas), len(DIVERGENCE_NAMES)
     n_freq = pmfs[0][0].shape[0] // n_deltas
-    values = np.empty((len(keep), n_freq, len(config.bases), n_deltas, n_div))
-    capped = np.zeros(len(keep), dtype=np.int64)
+    values = np.empty((n_records, n_freq, len(config.bases), n_deltas, n_div))
+    capped = np.zeros(n_records, dtype=np.int64)
     for b, base in enumerate(config.bases):
         probs = np.concatenate([record[b] for record in pmfs])
         divs, converged = fitted_divergences(probs, base, config.alpha, config.epsilon)
-        values[:, :, b] = divs.reshape(len(keep), n_freq, n_deltas, n_div)
-        capped += np.count_nonzero(~converged.reshape(len(keep), -1), axis=1)
-    values = values.reshape(len(keep), -1)
-    for row, idx in enumerate(keep):
-        rows[idx] = (values[row], int(capped[row]))
-    return rows, failures
+        values[:, :, b] = divs.reshape(n_records, n_freq, n_deltas, n_div)
+        capped += np.count_nonzero(~converged.reshape(n_records, -1), axis=1)
+    return values.reshape(n_records, -1), capped

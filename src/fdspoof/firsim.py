@@ -155,8 +155,8 @@ def _sweep_chunk(trials, signal_len: int) -> list[tuple[float, bool] | str]:
         try:
             buffer = apply_fir(gaussian_source(signal_len, trial_seed), coeffs)
             matrix = mfcc(buffer)
-            column = matrix.values[:, matrix.frequencies.index(frequency)]
-            pmfs.append(digit_pmf(column, delta, SWEEP_BASE, fd_cfg.min_digits).probabilities)
+            column = matrix.values[:, [matrix.frequencies.index(frequency)]]
+            pmfs.append(digit_pmf(column, (delta,), SWEEP_BASE, fd_cfg.min_digits)[0, 0])
             outcomes.append(len(pmfs) - 1)
         except FdspoofError as exc:
             outcomes.append(f"{type(exc).__name__}: {exc}")
@@ -191,8 +191,7 @@ def divergence_sweep(
         raise SettingError("n_trials must be >= 1")
     if signal_len < cepstral_cfg.frame_len:
         raise SettingError(f"signal_len must be >= frame_len ({cepstral_cfg.frame_len})")
-    if any(d <= 0 for d in deltas):
-        raise SettingError("every quantization step must be > 0")
+    FdConfig(deltas=tuple(deltas))  # checks the steps as `extract` does
     unknown = sorted(set(frequencies) - set(cepstral_cfg.frequencies))
     if unknown:
         raise SettingError(

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .exceptions import EmptySignal, LengthError, TooShort, ViewMismatch
+from .exceptions import EmptySignal, LengthError, SettingError, TooShort, ViewMismatch
 
 
 class SegmentKind(Enum):
@@ -29,6 +29,10 @@ class SegmentKind(Enum):
 class EnergyConfig:
     window_len: int = 101
     threshold_db: float = -40.0
+
+    def __post_init__(self) -> None:
+        if self.window_len < 1:
+            raise SettingError("window_len must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from fdspoof.audio_io import AudioBuffer
 from fdspoof.forest import ForestConfig, grid_search, save_model, train_forest
 from fdspoof.forest import LabeledDataset, accuracy as forest_accuracy
 from fdspoof.segmentation import EnergyConfig, SegmentKind
+from test_fd_features import column_pmf
 from test_forest import walk_tree
 
 
@@ -71,13 +72,11 @@ def test_criterion_3_divergence_identities():
     with criterion(3, "divergences vanish at p == p-hat; base-3 example = 0.0702 nats"):
         d = np.arange(1, 10, dtype=float)
         probs = np.log1p(1.0 / d) / np.log(10.0)
-        pmf = fd.DigitPmf(10, probs, 1000)
-        ds = fd.divergences(pmf, fd.BenfordFit(1.0, 0.0, 1.0, 0.0, True))
+        ds = fd.divergences(probs, 10, fd.BenfordFit(1.0, 0.0, 1.0, 0.0, True))
         assert abs(ds.js) < 1e-12 and abs(ds.renyi) < 1e-12
         assert abs(ds.tsallis) < 1e-12 and abs(ds.mse) < 1e-12
 
-        pmf3 = fd.DigitPmf(3, np.array([0.5, 0.5]), 100)
-        ds3 = fd.divergences(pmf3, fd.BenfordFit(1.0, 0.0, 1.0, 0.0, True))
+        ds3 = fd.divergences(np.array([0.5, 0.5]), 3, fd.BenfordFit(1.0, 0.0, 1.0, 0.0, True))
         q = np.array([math.log(2) / math.log(3), math.log(1.5) / math.log(3)])
         oracle_js = float(np.sum(0.5 * np.log(0.5 / q)) + np.sum(q * np.log(q / 0.5)))
         assert ds3.js == pytest.approx(0.0702, abs=1e-3)
@@ -96,7 +95,7 @@ def test_criterion_4_fit_recovery():
             delta = rng.uniform(0.7, 1.3)
             probs = beta * np.log1p(1.0 / (gamma + digits ** delta)) / np.log(10.0)
             probs = probs / probs.sum()
-            fit = fd.fit_benford(fd.DigitPmf(10, probs, 1000))
+            fit = fd.fit_benford(probs, 10)
             if fit.converged and fit.residual_mse < 1e-6:
                 recovered += 1
             elif fit.converged:
@@ -109,18 +108,16 @@ def test_criterion_5_benford_vs_uniform_ordering():
     with criterion(5, "sampled Benford js < 0.01 and non-monotone-digit js at least 10x larger"):
         rng = np.random.default_rng(105)
         benford_values = 10.0 ** rng.uniform(0.0, 1.0, 100000)
-        pmf_b = fd.digit_pmf(benford_values, 1.0, 10)
-        fit_b = fd.fit_benford(pmf_b)
-        js_b = fd.divergences(pmf_b, fit_b).js
+        pmf_b = column_pmf(benford_values, 1.0, 10)
+        js_b = fd.divergences(pmf_b, 10, fd.fit_benford(pmf_b, 10)).js
         assert js_b < 0.01
 
         # Every member of the curve family is monotone in d (the uniform pmf is
         # the member at delta=0), so the contrast needs a non-monotone profile:
         # mantissas in [2,3) u [8,9) give first digits 2 and 8 only.
         contrast_values = rng.choice((2.0, 8.0), 100000) + rng.uniform(0.0, 1.0, 100000)
-        pmf_c = fd.digit_pmf(contrast_values, 1.0, 10)
-        fit_c = fd.fit_benford(pmf_c)
-        js_c = fd.divergences(pmf_c, fit_c).js
+        pmf_c = column_pmf(contrast_values, 1.0, 10)
+        js_c = fd.divergences(pmf_c, 10, fd.fit_benford(pmf_c, 10)).js
         assert js_c >= 10.0 * js_b, (
             f"js_contrast={js_c:.3e} is not 10x js_benford={js_b:.3e}; no monotone "
             "curve fits digits 2 and 8 alone, so the fit or the divergence is wrong"

@@ -314,6 +314,16 @@ class TestRejectedInput:
         (["simulate", "--frequencies", "99"], None, "frequencies [99] are not kept"),
         (["simulate", "--jobs", "0"], None, "jobs must be >= 1"),
         (["extract", "--jobs", "0"], None, "jobs must be >= 1"),
+        (["extract", "--window-len", "0"], None, "window_len must be >= 1"),
+        (["extract", "--window-len", "-5"], None, "window_len must be >= 1"),
+        (["segment-report", "--window-len", "0"], None, "window_len must be >= 1"),
+        (["extract", "--deltas", "nan"], None, "every quantization step must be > 0"),
+        (["simulate", "--deltas", "nan"], None, "every quantization step must be > 0"),
+        (["extract", "--epsilon", "0"], None, "epsilon must be finite and > 0"),
+        (["extract"], "epsilon=-1\n", "epsilon must be finite and > 0"),
+        (["extract", "--bases", "10,10"], None, "bases and quantization steps must not repeat"),
+        (["extract", "--deltas", "1,2,1"], None, "bases and quantization steps must not repeat"),
+        (["extract", "--min-digits", "0"], None, "min_digits must be >= 1"),
     ])
     def test_rejected_setting_is_usage_error(self, extracted, cli_corpus, tmp_path, capsys,
                                              argv, config, message):
@@ -325,12 +335,25 @@ class TestRejectedInput:
             "train": ["--train-features", str(features), "--dev-features", str(features),
                       "--model-out", str(tmp_path / "m.json")],
             "simulate": ["--out", str(tmp_path / "s.csv")],
+            "segment-report": ["--audio", str(next(audio_dir.glob("*.wav"))),
+                               "--out", str(tmp_path / "r.csv")],
         }[argv[0]]
         if config is not None:
             (tmp_path / "conf.txt").write_text(config)
             required += ["--config", str(tmp_path / "conf.txt")]
         assert cli.main(argv + required) == 64
         assert message in capsys.readouterr().err
+
+    def test_undecodable_config_file_exits_2(self, cli_corpus, tmp_path, capsys):
+        _, protocol, audio_dir = cli_corpus
+        conf = tmp_path / "conf.txt"
+        conf.write_bytes(b"hop=512\nalpha=\xff0.3\n")
+        code = cli.main(["extract", "--protocol", str(protocol), "--audio-root", str(audio_dir),
+                         "--segment", "full", "--out", str(tmp_path / "f.csv"),
+                         "--config", str(conf)])
+        assert code == 2
+        assert f"{conf}:2: not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
 
     @pytest.mark.parametrize("probe", ["ragged_row", "bad_column_name", "non_finite", "label_7",
                                        "undecodable", "short_header"])

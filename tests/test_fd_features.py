@@ -1,12 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdspoof import fd_features as fd
-from fdspoof.cepstral import CepstralMatrix
+from conftest import make_filtered_clip
+from fdspoof import asvspoof, fd_features as fd, segmentation
+from fdspoof.audio_io import AudioBuffer, peak_normalize
+from fdspoof.cepstral import CepstralConfig, CepstralMatrix, mfcc
 from fdspoof.exceptions import InsufficientDigits
+from fdspoof.segmentation import EnergyConfig, SegmentKind
+
+MIN_DIGITS = fd.FdConfig().min_digits
 
 
 def brute_force_first_digit(x, base):
@@ -53,23 +59,47 @@ def first_digit(x, base):
     return int(fd._first_digits(np.array([abs(float(x))]), base)[0])
 
 
-def features(matrix):
+def per_cell_pmf(column, delta, base, min_digits=MIN_DIGITS):
+    """The digit pmf of one coefficient column at one quantization step, one
+    cell at a time: the oracle for the batched `digit_pmf`."""
+    quantized = np.asarray(column, dtype=np.float64) / delta
+    nonzero = quantized[quantized != 0.0]
+    if nonzero.size < min_digits:
+        raise InsufficientDigits(
+            f"{nonzero.size} non-zero values < required {min_digits} (base={base}, delta={delta:g})"
+        )
+    digits = fd._first_digits(np.abs(nonzero), base)
+    return np.bincount(digits, minlength=base)[1:base] / nonzero.size
+
+
+def column_pmf(values, delta, base, min_digits=MIN_DIGITS):
+    """`digit_pmf` of one column at one step."""
+    return fd.digit_pmf(np.asarray(values)[:, None], (delta,), base, min_digits)[0, 0]
+
+
+def features(matrix, config=fd.FdConfig()):
     """(values, capped fits) of one matrix; raises the record's failure."""
-    (row,), failures = fd.assemble_features_many([matrix])
-    if failures:
-        raise failures[0][1]
-    return row
+    values, capped = fd.assemble_features_many([fd.cell_pmfs(matrix, config)], config)
+    return values[0], int(capped[0])
 
 
 class TestQuantize:
+    """digit_pmf divides each value by the step, without rounding."""
+
     def test_arithmetic(self):
-        assert fd.quantize(6.0, 3.0) == 2.0
+        # 6 / 3 = 2, and 6 / 7 = 0.857... has first digit 8
+        pmfs = fd.digit_pmf(np.array([[6.0]]), (3.0, 7.0), 10, 1)
+        assert np.argmax(pmfs[0, 0]) + 1 == 2 and np.argmax(pmfs[0, 1]) + 1 == 8
 
     def test_identity(self):
-        assert fd.quantize(1.234, 1.0) == 1.234
+        # 1.234 in base 10 and 20 has first digit 1; base 2 sees 1.234 too
+        for base in (2, 10, 20):
+            assert column_pmf([1.234], 1.0, base, 1)[0] == 1.0
 
     def test_sign_passes_through(self):
-        assert fd.quantize(-4.4, 4.0) == pytest.approx(-1.1)
+        # -4.4 / 4 = -1.1 and -4.4 / 0.5 = -8.8 count by magnitude
+        pmfs = fd.digit_pmf(np.array([[-4.4]]), (4.0, 0.5), 10, 1)
+        assert pmfs[0, 0, 0] == 1.0 and pmfs[0, 1, 7] == 1.0
 
 
 class TestFirstDigit:
@@ -101,41 +131,111 @@ class TestFirstDigit:
 class TestDigitPmf:
     def test_counting(self):
         values = np.array([1.0, 1.5, 2.0, 9.0])
-        pmf = fd.digit_pmf(values, 1.0, 10, min_digits=1)
-        assert pmf.probabilities[0] == 0.5  # digit 1
-        assert pmf.probabilities[1] == 0.25  # digit 2
-        assert pmf.probabilities[8] == 0.25  # digit 9
-        assert pmf.count == 4
+        pmf = column_pmf(values, 1.0, 10, 1)
+        assert pmf[0] == 0.5  # digit 1
+        assert pmf[1] == 0.25  # digit 2
+        assert pmf[8] == 0.25  # digit 9
+        # four values counted: every probability is a multiple of 1/4
+        assert np.array_equal(pmf * 4, [2, 1, 0, 0, 0, 0, 0, 0, 1])
 
     def test_degenerate_single_digit(self):
-        pmf = fd.digit_pmf(np.full(32, 7.7), 1.0, 10, min_digits=1)
-        assert pmf.probabilities[6] == 1.0
+        pmf = column_pmf(np.full(32, 7.7), 1.0, 10, 1)
+        assert pmf[6] == 1.0
 
     def test_zeros_dropped(self):
         values = np.array([0.0, 3.0, 0.0, 3.0])
-        pmf = fd.digit_pmf(values, 1.0, 10, min_digits=1)
-        assert pmf.count == 2
-        assert pmf.probabilities[2] == 1.0
+        assert column_pmf(values, 1.0, 10, 2)[2] == 1.0
+        # two non-zero values: a third required digit is missing
+        with pytest.raises(InsufficientDigits, match=r"^2 non-zero values < required 3 "):
+            column_pmf(values, 1.0, 10, 3)
 
     def test_insufficient_digits(self):
-        with pytest.raises(InsufficientDigits):
-            fd.digit_pmf(np.array([1.0, 2.0]), 1.0, 10, min_digits=10)
+        with pytest.raises(InsufficientDigits) as info:
+            column_pmf(np.array([1.0, 2.0]), 1.0, 10, 10)
+        assert str(info.value) == "2 non-zero values < required 10 (base=10, delta=1)"
+        assert info.value.cell == (0, 0)
+
+    def test_first_short_cell_in_row_major_order(self):
+        # 1e-30 / 1e300 underflows to zero, so column 0 runs short at the
+        # second step only; column 1 is short at every step
+        columns = np.column_stack([np.r_[np.full(5, 1e-30), np.ones(10)],
+                                   np.r_[np.zeros(5), np.ones(10)]])
+        with pytest.raises(InsufficientDigits) as info:
+            fd.digit_pmf(columns, (1.0, 1e300), 20, 12)
+        assert info.value.cell == (0, 1)
+        assert str(info.value) == "10 non-zero values < required 12 (base=20, delta=1e+300)"
+        assert fd.digit_pmf(columns, (1.0, 1e300), 20, 10).shape == (2, 2, 19)
 
     def test_benford_sampled_monte_carlo(self):
         rng = np.random.default_rng(2)
         values = 10.0 ** rng.uniform(0, 1, 100000)
-        pmf = fd.digit_pmf(values, 1.0, 10)
-        assert pmf.probabilities[0] == pytest.approx(math.log10(2), abs=0.01)
-        assert pmf.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
+        pmf = column_pmf(values, 1.0, 10)
+        assert pmf[0] == pytest.approx(math.log10(2), abs=0.01)
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_stretching_by_base_power_leaves_pmf_unchanged(self):
         rng = np.random.default_rng(3)
         values = 10.0 ** rng.uniform(-2, 2, 2000)
-        base_pmf = fd.digit_pmf(values, 1.0, 10)
-        for delta in (10.0, 100.0, 0.1):
-            assert np.array_equal(
-                fd.digit_pmf(values, delta, 10).probabilities, base_pmf.probabilities
-            )
+        pmfs = fd.digit_pmf(values[:, None], (1.0, 10.0, 100.0, 0.1), 10, MIN_DIGITS)[0]
+        for pmf in pmfs[1:]:
+            assert np.array_equal(pmf, pmfs[0])
+
+    def test_matches_per_cell_oracle(self):
+        # zeros, signs, ties at digit boundaries and a step that underflows
+        rng = np.random.default_rng(15)
+        columns = np.where(rng.uniform(size=(400, 5)) < 0.2, 0.0,
+                           rng.choice((-1.0, 1.0), (400, 5)) * 10.0 ** rng.uniform(-5, 5, (400, 5)))
+        columns[:40, 2] = np.arange(1, 41)
+        deltas = (1.0, 0.008, 3.0, 1e300)
+        for base in (2, 10, 20):
+            pmfs = fd.digit_pmf(columns, deltas, base, 1)
+            assert pmfs.shape == (5, 4, base - 1)
+            for column in range(5):
+                for step, delta in enumerate(deltas):
+                    want = per_cell_pmf(columns[:, column], delta, base, 1)
+                    assert np.array_equal(pmfs[column, step], want), (base, column, delta)
+
+
+class TestCellPmfs:
+    @pytest.fixture(scope="class")
+    def view_matrices(self):
+        """MFCC matrices of FIR clips with quiet gaps, in the full, silence
+        and voiced views, each at the hop `extract` uses for that view."""
+        matrices = []
+        for n_coeffs, seed in ((8, 1), (64, 2)):
+            clip = make_filtered_clip(n_coeffs, seed).samples
+            quiet = 1e-3 * make_filtered_clip(n_coeffs, seed + 10, n_samples=6000).samples
+            buffer = peak_normalize(AudioBuffer(np.concatenate([quiet, clip, quiet, clip]),
+                                                16000, f"clip{seed}"))
+            for view in segmentation.segment(buffer, EnergyConfig()):
+                config = CepstralConfig()
+                config = replace(config, hop=asvspoof.hop_for_segment(view.kind, config))
+                matrices.append(mfcc(segmentation.extract(buffer, view), config))
+        return matrices
+
+    def test_every_cell_matches_per_cell_oracle(self, view_matrices):
+        config = fd.FdConfig()
+        for matrix in view_matrices:
+            pmfs = fd.cell_pmfs(matrix, config)
+            assert [p.shape for p in pmfs] == [(13 * 4, base - 1) for base in config.bases]
+            for b, base in enumerate(config.bases):
+                cells = ((f_idx, delta) for f_idx in range(len(matrix.frequencies))
+                         for delta in config.deltas)
+                for row, (f_idx, delta) in enumerate(cells):
+                    want = per_cell_pmf(matrix.values[:, f_idx], delta, base)
+                    assert np.array_equal(pmfs[b][row], want), (matrix.n_frames, base, delta)
+
+    def test_one_digit_pmf_call_per_base(self, view_matrices, monkeypatch):
+        calls = []
+        digit_pmf = fd.digit_pmf
+
+        def counted(*args):
+            calls.append(args[2])
+            return digit_pmf(*args)
+
+        monkeypatch.setattr(fd, "digit_pmf", counted)
+        fd.cell_pmfs(view_matrices[0], fd.FdConfig(bases=(20, 10)))
+        assert calls == [20, 10]
 
 
 class TestBenfordIdeal:
@@ -164,23 +264,22 @@ class TestBenfordIdeal:
 
 class TestFitBenford:
     def test_exact_benford_fixed_point(self):
-        pmf = fd.DigitPmf(10, benford_probs(), 1000)
-        fit = fd.fit_benford(pmf)
+        fit = fd.fit_benford(benford_probs(), 10)
         assert fit.converged
         assert fit.residual_mse < 1e-10
         fitted = curve(10, fit.beta, fit.gamma, fit.delta_exp)
-        assert np.allclose(fitted, pmf.probabilities, atol=1e-5)
+        assert np.allclose(fitted, benford_probs(), atol=1e-5)
 
     def test_generate_then_fit_recovers_curve(self):
         probs = benford_probs(10, 1.05, 0.2, 0.9)
         probs = probs / probs.sum()
-        fit = fd.fit_benford(fd.DigitPmf(10, probs, 1000))
+        fit = fd.fit_benford(probs, 10)
         assert fit.converged
         assert fit.residual_mse < 1e-6
 
     def test_uniform_fits_worse_than_benford(self):
-        benford_fit = fd.fit_benford(fd.DigitPmf(10, benford_probs(), 1000))
-        uniform_fit = fd.fit_benford(fd.DigitPmf(10, np.full(9, 1.0 / 9.0), 1000))
+        benford_fit = fd.fit_benford(benford_probs(), 10)
+        uniform_fit = fd.fit_benford(np.full(9, 1.0 / 9.0), 10)
         assert uniform_fit.converged
         assert uniform_fit.residual_mse > benford_fit.residual_mse
 
@@ -188,7 +287,7 @@ class TestFitBenford:
         rng = np.random.default_rng(4)
         for _ in range(10):
             probs = rng.dirichlet(np.ones(9))
-            fit = fd.fit_benford(fd.DigitPmf(10, probs, 100))
+            fit = fd.fit_benford(probs, 10)
             d = np.arange(1, 10, dtype=float)
             assert np.all(fit.gamma + d ** fit.delta_exp > 0)
 
@@ -197,10 +296,9 @@ class TestFitBenford:
         # the family reaches a one-digit pmf at digit 1 only as delta -> inf
         probs = np.zeros(base - 1)
         probs[0] = 1.0
-        pmf = fd.DigitPmf(base, probs, 100)
-        fit = fd.fit_benford(pmf)
+        fit = fd.fit_benford(probs, base)
         assert fit.converged
-        assert fd.divergences(pmf, fit).js < 1e-6
+        assert fd.divergences(probs, base, fit).js < 1e-6
 
     @pytest.mark.parametrize("base", [10, 20])
     def test_dirichlet_pmfs_converge(self, base):
@@ -223,8 +321,7 @@ class TestFitBenford:
     def test_fit_is_feasible_and_no_worse_than_benford(self, case):
         base, weights = case
         probs = np.array(weights) / sum(weights)
-        pmf = fd.DigitPmf(base, probs, 100)
-        fit = fd.fit_benford(pmf)
+        fit = fd.fit_benford(probs, base)
         d = np.arange(1, base, dtype=float)
         assert np.isfinite([fit.beta, fit.gamma, fit.delta_exp, fit.residual_mse]).all()
         with np.errstate(over="ignore"):
@@ -232,7 +329,7 @@ class TestFitBenford:
         benford_mse = np.mean((benford_probs(base) - probs) ** 2)
         assert fit.residual_mse <= benford_mse + 1e-15
         # the residual is the mse of the reported curve
-        assert fd.divergences(pmf, fit).mse == fit.residual_mse
+        assert fd.divergences(probs, base, fit).mse == fit.residual_mse
 
     def test_batch_composition_is_irrelevant(self):
         rng = np.random.default_rng(5)
@@ -247,9 +344,8 @@ class TestFitBenford:
 
 class TestDivergences:
     def test_identity_of_indiscernibles(self):
-        pmf = fd.DigitPmf(10, benford_probs(), 1000)
         fit = fd.BenfordFit(1.0, 0.0, 1.0, 0.0, True)
-        ds = fd.divergences(pmf, fit)
+        ds = fd.divergences(benford_probs(), 10, fit)
         assert abs(ds.js) < 1e-12
         assert abs(ds.renyi) < 1e-12
         assert abs(ds.tsallis) < 1e-12
@@ -257,9 +353,8 @@ class TestDivergences:
 
     def test_base3_worked_example(self):
         # p = (0.5, 0.5) against the classic base-3 Benford curve
-        pmf = fd.DigitPmf(3, np.array([0.5, 0.5]), 100)
         fit = fd.BenfordFit(1.0, 0.0, 1.0, 0.0, True)
-        ds = fd.divergences(pmf, fit)
+        ds = fd.divergences(np.array([0.5, 0.5]), 3, fit)
         q = benford_probs(base=3)
         want = oracle_divergences([0.5, 0.5], list(q))
         assert ds.js == pytest.approx(0.0702, abs=1e-3)
@@ -270,10 +365,9 @@ class TestDivergences:
     def test_mse_worked_example(self):
         # fitted curve identically 0.5 over d in {1, 2}: delta=0, beta chosen so
         # beta * log3(2) == 0.5
-        pmf = fd.DigitPmf(3, np.array([0.6, 0.4]), 100)
         beta = 0.5 / (math.log(2) / math.log(3))
         fit = fd.BenfordFit(beta, 0.0, 0.0, 0.0, True)
-        assert fd.divergences(pmf, fit).mse == pytest.approx(0.01, rel=1e-9)
+        assert fd.divergences(np.array([0.6, 0.4]), 3, fit).mse == pytest.approx(0.01, rel=1e-9)
 
     def test_nonnegativity_and_symmetry_against_oracle(self):
         rng = np.random.default_rng(6)
@@ -291,11 +385,10 @@ class TestDivergences:
     def test_package_matches_oracle_on_fitted_curve(self):
         rng = np.random.default_rng(7)
         probs = rng.dirichlet(np.ones(9))
-        pmf = fd.DigitPmf(10, probs, 500)
-        fit = fd.fit_benford(pmf)
+        fit = fd.fit_benford(probs, 10)
         q = benford_probs(10, fit.beta, fit.gamma, fit.delta_exp)
         want = oracle_divergences(list(probs), list(q))
-        got = fd.divergences(pmf, fit)
+        got = fd.divergences(probs, 10, fit)
         assert got.js == pytest.approx(want[0], rel=1e-9)
         assert got.renyi == pytest.approx(want[1], rel=1e-6, abs=1e-12)
         assert got.tsallis == pytest.approx(want[2], rel=1e-6, abs=1e-12)
@@ -363,8 +456,23 @@ class TestAssemble:
     def test_insufficient_digits_propagates_cell(self):
         cols = [10.0 ** np.random.default_rng(10).uniform(-2, 2, 64) for _ in range(13)]
         cols[4] = np.zeros(64)
-        with pytest.raises(InsufficientDigits, match=r"f=6"):
+        with pytest.raises(InsufficientDigits) as info:
             features(matrix_from_columns(cols))
+        assert str(info.value) == (
+            "cell (f=6, b=10, delta=1): 0 non-zero values < required 10 (base=10, delta=1)"
+        )
+        # the first short cell in layout order: frequency, then base, then
+        # step; 1e-30 / 1e300 underflows to zero, so f=6 runs short at the
+        # second step only
+        cols[4] = np.r_[np.full(60, 1e-30), np.ones(4)]
+        cols[7] = np.zeros(64)
+        config = fd.FdConfig(bases=(20, 10), deltas=(1.0, 1e300))
+        with pytest.raises(InsufficientDigits) as info:
+            features(matrix_from_columns(cols), config)
+        assert str(info.value) == (
+            "cell (f=6, b=20, delta=1e+300): 4 non-zero values < required 10 "
+            "(base=20, delta=1e+300)"
+        )
 
     def test_batched_assembly_matches_single(self):
         rng = np.random.default_rng(11)
@@ -372,38 +480,47 @@ class TestAssemble:
             matrix_from_columns([10.0 ** rng.uniform(-2, 2, 64) for _ in range(13)])
             for _ in range(3)
         ]
-        many, failures = fd.assemble_features_many(matrices)
-        assert not failures
-        for matrix, (values, capped) in zip(matrices, many):
+        config = fd.FdConfig()
+        values, capped = fd.assemble_features_many(
+            [fd.cell_pmfs(matrix, config) for matrix in matrices], config)
+        assert values.shape == (3, 416) and capped.shape == (3,)
+        for matrix, row, row_capped in zip(matrices, values, capped):
             alone = features(matrix)
-            assert np.array_equal(alone[0], values) and alone[1] == capped
+            assert np.array_equal(alone[0], row) and alone[1] == row_capped
 
     def test_columns_follow_the_layout(self):
         # every column is its cell's pmf fitted alone, at the layout's position
         rng = np.random.default_rng(16)
         matrix = matrix_from_columns([10.0 ** rng.uniform(-2, 2, 64) for _ in range(3)])
         config = fd.FdConfig(bases=(20, 10), deltas=(3.0, 1.0))
-        (values, _), = fd.assemble_features_many([matrix], config)[0]
+        values, _ = features(matrix, config)
         layout = fd.feature_layout(config, matrix.frequencies)
         for i in range(0, len(layout), len(fd.DIVERGENCE_NAMES)):
             cell = layout[i]
             column = matrix.values[:, matrix.frequencies.index(cell.frequency)]
-            pmf = fd.digit_pmf(column, cell.delta, cell.base)
-            alone, _ = fd.fitted_divergences(pmf.probabilities[None, :], cell.base,
+            pmf = per_cell_pmf(column, cell.delta, cell.base)
+            alone, _ = fd.fitted_divergences(pmf[None, :], cell.base,
                                              config.alpha, config.epsilon)
             assert np.array_equal(values[i : i + len(fd.DIVERGENCE_NAMES)], alone[0]), cell
 
-    def test_failed_record_leaves_its_place_empty(self):
+    def test_failed_record_leaves_its_place_empty(self, wav_factory):
+        # a 3000-sample clip has 4 full-view frames, fewer than min_digits:
+        # its place in the chunk holds its skip, and its neighbours' rows do
+        # not depend on it
         rng = np.random.default_rng(14)
-        cols = [10.0 ** rng.uniform(-2, 2, 64) for _ in range(13)]
-        good = matrix_from_columns(cols)
-        bad = matrix_from_columns(cols[:4] + [np.zeros(64)] + cols[5:])
-        rows, failures = fd.assemble_features_many([good, bad, good])
-        assert rows[1] is None
-        assert [idx for idx, _ in failures] == [1]
-        assert isinstance(failures[0][1], InsufficientDigits)
-        assert np.array_equal(rows[0][0], rows[2][0]) and rows[0][1] == rows[2][1]
-        assert np.array_equal(rows[0][0], features(good)[0])
+        good = wav_factory(0.5 * rng.uniform(-1, 1, 8000), name="good")
+        short = wav_factory(0.5 * rng.uniform(-1, 1, 3000), name="short")
+        chunk = [good, short, good]
+        outcomes = asvspoof._extract_chunk(chunk, SegmentKind.FULL, CepstralConfig(),
+                                           fd.FdConfig(), EnergyConfig())
+        skip = outcomes[1]
+        assert skip == asvspoof.SkipRecord(
+            "short", "InsufficientDigits",
+            "cell (f=2, b=10, delta=1): 4 non-zero values < required 10 (base=10, delta=1)")
+        assert np.array_equal(outcomes[0][0], outcomes[2][0]) and outcomes[0][1] == outcomes[2][1]
+        alone = asvspoof._extract_chunk([good], SegmentKind.FULL, CepstralConfig(),
+                                        fd.FdConfig(), EnergyConfig())[0]
+        assert np.array_equal(outcomes[0][0], alone[0]) and outcomes[0][1] == alone[1]
 
     def test_benford_matrix_scores_below_uniform_matrix(self):
         # Columns with log-uniform mantissas follow the Benford law for every
@@ -431,7 +548,7 @@ class TestAssemble:
         for column in contrast_cols:
             for base in config.bases:
                 for delta in config.deltas:
-                    bound = monotone_mse_bound(fd.digit_pmf(column, delta, base).probabilities)
+                    bound = monotone_mse_bound(column_pmf(column, delta, base))
                     assert bound >= 10.0 * next(mse_benford), (base, delta)
 
         # renyi is <= 0 and falls as the gap grows, so it orders by magnitude

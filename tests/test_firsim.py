@@ -8,7 +8,7 @@ from fdspoof import firsim
 from fdspoof.audio_io import AudioBuffer
 from fdspoof.cepstral import mfcc
 from fdspoof.exceptions import DesignFailure, FdspoofError, InsufficientDigits, SettingError
-from fdspoof.fd_features import digit_pmf, divergences, fit_benford
+from fdspoof.fd_features import FdConfig, digit_pmf, divergences, fit_benford
 from fdspoof.firsim import (
     FirDesignSpec,
     SweepRow,
@@ -157,12 +157,14 @@ def scalar_sweep(n_coeffs_list, deltas, frequencies, n_trials, signal_len, seed)
             source = firsim.gaussian_source(signal_len, trial_seed(seed, cell_index, trial))
             buffer = apply_fir(source, coeffs)
             matrix = mfcc(buffer)
-            column = matrix.values[:, matrix.frequencies.index(freq)]
+            column = matrix.values[:, [matrix.frequencies.index(freq)]]
             try:
-                pmf = firsim.digit_pmf(column, delta, firsim.SWEEP_BASE)
+                pmf = firsim.digit_pmf(column, (delta,), firsim.SWEEP_BASE,
+                                       FdConfig().min_digits)[0, 0]
             except FdspoofError:
                 continue
-            values.append(divergences(pmf, fit_benford(pmf)).js)
+            values.append(divergences(pmf, firsim.SWEEP_BASE,
+                                      fit_benford(pmf, firsim.SWEEP_BASE)).js)
         std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
         rows.append(SweepRow(nc, float(delta), freq, float(np.mean(values)), std, len(values)))
     return tuple(rows)
@@ -237,6 +239,7 @@ class TestSweep:
         (dict(frequencies=(2, 99)), "frequencies [99] are not kept coefficients (2..14)"),
         (dict(n_coeffs_list=(8, 2)), "n_coeffs must be >= 3"),
         (dict(jobs=0), "jobs must be >= 1"),
+        (dict(deltas=(float("nan"),)), "every quantization step must be > 0"),
     ])
     def test_settings_rejected_before_any_trial(self, monkeypatch, change, message):
         def no_trial(*args, **kwargs):
@@ -259,8 +262,7 @@ class TestSweep:
         from fdspoof.cepstral import mfcc
 
         buf = apply_fir(gaussian_source(1 << 16, 5), design_fir(FirDesignSpec(n_coeffs=8)))
-        column = mfcc(buf).values[:, 0]
-        reference = digit_pmf(column, 1.0, 10)
-        for delta in (10.0, 100.0):
-            assert np.array_equal(digit_pmf(column, delta, 10).probabilities,
-                                  reference.probabilities)
+        column = mfcc(buf).values[:, :1]
+        reference, *stretched = digit_pmf(column, (1.0, 10.0, 100.0), 10, 10)[0]
+        for pmf in stretched:
+            assert np.array_equal(pmf, reference)
