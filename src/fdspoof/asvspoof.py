@@ -29,6 +29,7 @@ from .exceptions import (
     InsufficientDigits,
     MissingAudio,
     ParseError,
+    SettingError,
     TooShort,
 )
 from .fd_features import FdConfig, FeatureDescriptor
@@ -138,8 +139,16 @@ def balance_training(entries: list[ProtocolEntry], seed: int) -> list[ProtocolEn
 # feature extraction over a corpus
 # ---------------------------------------------------------------------------
 
-def hop_for_segment(kind: SegmentKind, config: CepstralConfig) -> int:
-    return SILENCE_HOP if kind is SegmentKind.SILENCE else config.hop
+def view_config(kind: SegmentKind, config: CepstralConfig) -> CepstralConfig:
+    """The MFCC configuration of a segment view: the silence view always
+    uses hop SILENCE_HOP, the others `config` as given. SettingError if the
+    frame is shorter than that hop."""
+    if kind is not SegmentKind.SILENCE:
+        return config
+    if config.frame_len < SILENCE_HOP:
+        raise SettingError(f"the silence view's fixed hop of {SILENCE_HOP} must be in "
+                           f"(0, frame_len]; frame_len is {config.frame_len}")
+    return replace(config, hop=SILENCE_HOP)
 
 
 def _record_pmfs(
@@ -149,9 +158,9 @@ def _record_pmfs(
     fd_cfg: FdConfig,
     energy_cfg: EnergyConfig,
 ) -> list[np.ndarray]:
-    buffer = audio_io.decode(path)
-    buffer = audio_io.strip_zeros(buffer)
-    buffer = audio_io.peak_normalize(buffer)
+    """The cell pmfs of one record's `kind` view; `cepstral_cfg` is the
+    view's own configuration (`view_config`)."""
+    buffer = audio_io.load(path)
     if kind is not SegmentKind.FULL:
         full, silence, voiced = segmentation.segment(buffer, energy_cfg)
         view = silence if kind is SegmentKind.SILENCE else voiced
@@ -161,8 +170,7 @@ def _record_pmfs(
                 f"need {cepstral_cfg.frame_len}"
             )
         buffer = segmentation.extract(buffer, view)
-    matrix = cepstral.mfcc(buffer, replace(cepstral_cfg, hop=hop_for_segment(kind, cepstral_cfg)))
-    return fd_features.cell_pmfs(matrix, fd_cfg)
+    return fd_features.cell_pmfs(cepstral.mfcc(buffer, cepstral_cfg), fd_cfg)
 
 
 _SKIPPABLE = (EmptySignal, TooShort, InsufficientData, InsufficientDigits)
@@ -208,9 +216,11 @@ def build_dataset(
     over `jobs` processes). Rows are sorted by record id; skipped records are
     reported with reasons. Returns (dataset, skips, capped fits): the last is
     the number of kept records' cell fits that hit the iteration cap.
-    SettingError if `jobs < 1`.
+    SettingError, before any record is decoded, if `jobs < 1` or the view's
+    configuration is rejected (`view_config`).
     """
     cepstral_cfg = cepstral_cfg or CepstralConfig()
+    view_cfg = view_config(segment_kind, cepstral_cfg)
     fd_cfg = fd_cfg or FdConfig()
     energy_cfg = energy_cfg or EnergyConfig()
     audio_root = Path(audio_root)
@@ -224,7 +234,7 @@ def build_dataset(
         paths.append(path)
 
     outcomes = parallel.map_chunks(
-        partial(_extract_chunk, kind=segment_kind, cepstral_cfg=cepstral_cfg,
+        partial(_extract_chunk, kind=segment_kind, cepstral_cfg=view_cfg,
                 fd_cfg=fd_cfg, energy_cfg=energy_cfg),
         paths, jobs,
     )

@@ -3,6 +3,10 @@
 Only uncompressed RIFF/WAVE files are accepted: mono, 16 kHz, with 16/24/32-bit
 integer or 32-bit float samples. Anything else (compressed codecs, multi-channel
 material, other rates) must be transcoded externally before ingestion.
+
+`load` is the front end every command reads audio through: decode, drop the
+samples that are exactly zero, then scale the peak to 1.0. `peak_normalize`
+is the one normalization in the package; the FIR simulation uses it too.
 """
 
 from __future__ import annotations
@@ -158,3 +162,8 @@ def peak_normalize(buffer: AudioBuffer) -> AudioBuffer:
         sample_rate=buffer.sample_rate,
         source_id=buffer.source_id,
     )
+
+
+def load(path: str | Path) -> AudioBuffer:
+    """The decoded file with its zero samples dropped, peak-normalized."""
+    return peak_normalize(strip_zeros(decode(path)))

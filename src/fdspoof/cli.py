@@ -203,9 +203,7 @@ def cmd_train(args) -> int:
 def _segment_label_for(features_path: str) -> str:
     meta_path = Path(str(features_path) + ".meta.txt")
     if meta_path.exists():
-        for line in meta_path.read_text().splitlines():
-            if line.startswith("segment="):
-                return line.partition("=")[2]
+        return read_config_file(meta_path).get("segment", "unknown")
     return "unknown"
 
 
@@ -276,11 +274,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_segment_report(args) -> int:
-    buffer = audio_io.decode(args.audio)
-    buffer = audio_io.strip_zeros(buffer)
-    buffer = audio_io.peak_normalize(buffer)
     config = EnergyConfig(window_len=args.window_len, threshold_db=args.threshold_db)
-    rows = segmentation.window_labels(buffer, config)
+    rows = segmentation.window_labels(audio_io.load(args.audio), config)
     with open(args.out, "w") as fh:
         fh.write("window_index,start_sample,energy_db,label\n")
         for index, start, energy, label in rows:

@@ -32,10 +32,6 @@ class EmptySignal(FdspoofError):
 
 
 # segmentation
-class LengthError(FdspoofError):
-    """Window length does not match the configured size."""
-
-
 class TooShort(FdspoofError):
     """Buffer shorter than one analysis window."""
 

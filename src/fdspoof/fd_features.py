@@ -59,8 +59,8 @@ class FdConfig:
     def __post_init__(self) -> None:
         if any(b < 2 for b in self.bases):
             raise SettingError("every base must be >= 2")
-        if any(not d > 0 for d in self.deltas):
-            raise SettingError("every quantization step must be > 0")
+        if any(not 0 < d < math.inf for d in self.deltas):
+            raise SettingError("every quantization step must be > 0 and finite")
         if len(set(self.bases)) < len(self.bases) or len(set(self.deltas)) < len(self.deltas):
             raise SettingError("bases and quantization steps must not repeat")
         if not (0.0 < self.alpha < 1.0):
@@ -125,8 +125,15 @@ def _first_digits(magnitudes: np.ndarray, base: int) -> np.ndarray:
 def digit_pmf(columns, deltas, base: int, min_digits: int) -> np.ndarray:
     """(k, len(deltas), base-1) digit pmfs, d = 1..base-1, of the non-zero values
     of each column of an (n, k) matrix divided by each step; InsufficientDigits,
-    with `cell` = (column, step), for the first short cell in row-major order."""
-    quantized = np.asarray(columns, dtype=np.float64)[:, :, None] / np.asarray(deltas)
+    with `cell` = (column, step), for the first short cell in row-major order.
+    SettingError naming the first step that some value divided by it overflows."""
+    with np.errstate(over="ignore"):
+        quantized = np.asarray(columns, dtype=np.float64)[:, :, None] / np.asarray(deltas)
+    overflowed = ~np.isfinite(quantized).all(axis=(0, 1))
+    if overflowed.any():
+        step = float(deltas[int(np.argmax(overflowed))])
+        raise SettingError(f"quantization step {step!r} is too small: "
+                           f"a value divided by it is not finite")
     nonzero = quantized != 0.0
     counts = np.count_nonzero(nonzero, axis=0)
     short = np.argwhere(counts < min_digits)

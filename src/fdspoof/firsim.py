@@ -27,7 +27,7 @@ import numpy as np
 # scipy.signal is imported inside the functions that use it: importing it
 # takes about a second, and no command but `simulate` needs it.
 from . import fd_features, parallel
-from .audio_io import AudioBuffer
+from .audio_io import AudioBuffer, peak_normalize
 from .cepstral import CepstralConfig, mfcc
 from .exceptions import DesignFailure, FdspoofError, SettingError
 from .fd_features import FdConfig, digit_pmf
@@ -124,23 +124,19 @@ def gaussian_source(n_samples: int, seed, sample_rate: int = 16000) -> AudioBuff
     """Peak-normalized Gaussian noise buffer."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    samples = raw_gaussian(n_samples, seed)
-    peak = np.max(np.abs(samples))
-    return AudioBuffer(samples=samples / peak, sample_rate=sample_rate,
-                       source_id=f"gaussian-{seed}")
+    return peak_normalize(AudioBuffer(samples=raw_gaussian(n_samples, seed),
+                                      sample_rate=sample_rate, source_id=f"gaussian-{seed}"))
 
 
 def apply_fir(buffer: AudioBuffer, coeffs: np.ndarray) -> AudioBuffer:
-    """Full convolution truncated to the input length, re-peak-normalized."""
+    """Full convolution truncated to the input length, re-peak-normalized;
+    EmptySignal if the filtered signal is all zero."""
     from scipy import signal as sp_signal
 
     out = sp_signal.convolve(buffer.samples, np.asarray(coeffs, dtype=np.float64),
                              mode="full")[: len(buffer)]
-    peak = np.max(np.abs(out))
-    if peak > 0.0:
-        out = out / peak
-    return AudioBuffer(samples=out, sample_rate=buffer.sample_rate,
-                       source_id=buffer.source_id + "+fir")
+    return peak_normalize(AudioBuffer(samples=out, sample_rate=buffer.sample_rate,
+                                      source_id=buffer.source_id + "+fir"))
 
 
 def _sweep_chunk(trials, signal_len: int) -> list[tuple[float, bool] | str]:

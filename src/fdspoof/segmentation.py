@@ -5,6 +5,11 @@ The signal is tiled into consecutive non-overlapping windows of 101 samples
 when its mean-power energy over the peak-normalized signal exceeds -40 dB.
 The Silence view drops the maximal leading and trailing runs of silent
 windows; the Full view always covers the whole buffer.
+
+A record is scored in one array pass: the full windows are one reshape of the
+squared samples and one mean per row, and the views' intervals are the runs
+of the voiced and interior-silent window masks. `window_labels` is the one
+scoring path; the `segment-report` rows and `segment` both read it.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .exceptions import EmptySignal, LengthError, SettingError, TooShort, ViewMismatch
+from .exceptions import EmptySignal, SettingError, TooShort, ViewMismatch
 
 
 class SegmentKind(Enum):
@@ -33,6 +38,8 @@ class EnergyConfig:
     def __post_init__(self) -> None:
         if self.window_len < 1:
             raise SettingError("window_len must be >= 1")
+        if not math.isfinite(self.threshold_db):
+            raise SettingError("threshold_db must be finite")
 
 
 @dataclass(frozen=True)
@@ -48,48 +55,32 @@ class SegmentView:
         return sum(b - a for a, b in self.index_ranges)
 
 
-def _energy_db(samples: np.ndarray) -> float:
-    power = float(np.mean(samples * samples))
-    if power == 0.0:
-        return -math.inf
-    return 10.0 * math.log10(power)
-
-
-def window_energy_db(samples: np.ndarray, config: EnergyConfig) -> float:
-    """Mean-power energy of one window in dB; -inf for an all-zero window."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.shape[0] != config.window_len:
-        raise LengthError(f"window has {samples.shape[0]} samples, expected {config.window_len}")
-    return _energy_db(samples)
-
-
 def window_labels(buffer: AudioBuffer, config: EnergyConfig) -> list[tuple[int, int, float, str]]:
-    """Per-window report rows: (window_index, start_sample, energy_db, label)."""
-    n = len(buffer)
-    if n < config.window_len:
-        raise TooShort(f"{buffer.source_id}: {n} samples < window of {config.window_len}")
-    rows = []
-    for i, start in enumerate(range(0, n, config.window_len)):
-        chunk = buffer.samples[start : start + config.window_len]
-        energy = _energy_db(chunk)
-        label = "voiced" if energy > config.threshold_db else "silence"
-        rows.append((i, start, energy, label))
-    return rows
+    """Per-window report rows: (window_index, start_sample, energy_db, label).
+
+    The full windows are scored in one pass over a (windows, window_len) view
+    and the partial tail window on its own; energy_db is -inf for a power of 0.
+    """
+    n, w = len(buffer), config.window_len
+    if n < w:
+        raise TooShort(f"{buffer.source_id}: {n} samples < window of {w}")
+    squares = buffer.samples * buffer.samples
+    tiled = n - n % w
+    power = np.mean(squares[:tiled].reshape(-1, w), axis=1).tolist()
+    if tiled < n:
+        power.append(float(np.mean(squares[tiled:])))
+    # math.log10, not np.log10: the two differ in the last bit on some powers
+    energies = [10.0 * math.log10(p) if p > 0.0 else -math.inf for p in power]
+    return [(i, i * w, energy, "voiced" if energy > config.threshold_db else "silence")
+            for i, energy in enumerate(energies)]
 
 
-def _merge_windows(indices: list[int], window_len: int, n: int) -> tuple[tuple[int, int], ...]:
-    if not indices:
-        return ()
-    ranges: list[tuple[int, int]] = []
-    run_start = indices[0]
-    prev = indices[0]
-    for i in indices[1:]:
-        if i != prev + 1:
-            ranges.append((run_start * window_len, min((prev + 1) * window_len, n)))
-            run_start = i
-        prev = i
-    ranges.append((run_start * window_len, min((prev + 1) * window_len, n)))
-    return tuple(ranges)
+def _ranges(mask: np.ndarray, window_len: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Half-open sample intervals of the runs of True windows in `mask`."""
+    edges = np.diff(mask.astype(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(edges == 1) * window_len
+    ends = np.minimum(np.flatnonzero(edges == -1) * window_len, n)
+    return tuple(zip(starts.tolist(), ends.tolist()))
 
 
 def segment(
@@ -101,24 +92,17 @@ def segment(
     edge padding cannot dominate the silent statistics.
     """
     n = len(buffer)
-    rows = window_labels(buffer, config)
-    voiced_idx = [i for i, _, _, label in rows if label == "voiced"]
-    silent_idx = [i for i, _, _, label in rows if label == "silence"]
-
-    if voiced_idx:
-        first_voiced, last_voiced = voiced_idx[0], voiced_idx[-1]
-        interior_silent = [i for i in silent_idx if first_voiced < i < last_voiced]
-    else:
-        interior_silent = []  # everything is a leading/trailing silent run
-
-    full = SegmentView(SegmentKind.FULL, ((0, n),), buffer.source_id)
-    silence = SegmentView(
-        SegmentKind.SILENCE, _merge_windows(interior_silent, config.window_len, n), buffer.source_id
+    voiced = np.array([label == "voiced" for *_, label in window_labels(buffer, config)])
+    interior = np.zeros_like(voiced)
+    voiced_idx = np.flatnonzero(voiced)
+    if voiced_idx.size:  # else everything is a leading/trailing silent run
+        interior[voiced_idx[0] : voiced_idx[-1]] = True
+    w = config.window_len
+    return (
+        SegmentView(SegmentKind.FULL, ((0, n),), buffer.source_id),
+        SegmentView(SegmentKind.SILENCE, _ranges(interior & ~voiced, w, n), buffer.source_id),
+        SegmentView(SegmentKind.VOICED, _ranges(voiced, w, n), buffer.source_id),
     )
-    voiced = SegmentView(
-        SegmentKind.VOICED, _merge_windows(voiced_idx, config.window_len, n), buffer.source_id
-    )
-    return full, silence, voiced
 
 
 def extract(buffer: AudioBuffer, view: SegmentView) -> AudioBuffer:

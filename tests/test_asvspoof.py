@@ -17,7 +17,8 @@ from fdspoof.asvspoof import (
     subset_records,
     write_feature_csv,
 )
-from fdspoof.exceptions import DegenerateProtocol, MissingAudio, ParseError
+from fdspoof.cepstral import CepstralConfig
+from fdspoof.exceptions import DegenerateProtocol, MissingAudio, ParseError, SettingError
 from fdspoof.fd_features import FdConfig, feature_layout, layout_hash
 from fdspoof.forest import ForestConfig, LabeledDataset, TrainedModel, Tree, predict_batch
 from fdspoof.segmentation import SegmentKind
@@ -170,6 +171,15 @@ class TestBuildDataset:
         assert len(skips) == 2
         assert {s.reason for s in skips} == {"InsufficientData"}
         assert len({s.record_id for s in skips}) == 2
+
+    def test_silence_hop_checked_before_any_record(self, toy_corpus, monkeypatch):
+        audio_dir, entries = toy_corpus
+        monkeypatch.setattr(asvspoof.audio_io, "load", lambda path: pytest.fail("decoded"))
+        short_frame = CepstralConfig(frame_len=64, hop=32)
+        with pytest.raises(SettingError, match="silence view's fixed hop of 128"):
+            build_dataset(entries, audio_dir, SegmentKind.SILENCE, short_frame)
+        assert asvspoof.view_config(SegmentKind.VOICED, short_frame) is short_frame
+        assert asvspoof.view_config(SegmentKind.SILENCE, CepstralConfig()).hop == 128
 
     def test_deterministic_bytes(self, toy_corpus, tmp_path):
         audio_dir, entries = toy_corpus

@@ -110,6 +110,18 @@ class TestStripZeros:
         assert np.array_equal(once.samples, twice.samples)
 
 
+class TestLoad:
+    def test_decode_strip_normalize(self, tmp_path):
+        path = raw_wav(tmp_path / "clip.wav", struct.pack("<4h", 0, 8192, 0, -16384))
+        buf = audio_io.load(path)
+        assert np.array_equal(buf.samples, [0.5, -1.0])
+        assert buf.source_id == "clip"
+
+    def test_all_zero_file_rejected(self, tmp_path):
+        with pytest.raises(EmptySignal):
+            audio_io.load(raw_wav(tmp_path / "zeros.wav", bytes(8)))
+
+
 class TestPeakNormalize:
     def test_scaling(self):
         buf = audio_io.AudioBuffer(np.array([0.5, -0.25]), 16000, "a")

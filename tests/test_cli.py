@@ -324,6 +324,17 @@ class TestRejectedInput:
         (["extract", "--bases", "10,10"], None, "bases and quantization steps must not repeat"),
         (["extract", "--deltas", "1,2,1"], None, "bases and quantization steps must not repeat"),
         (["extract", "--min-digits", "0"], None, "min_digits must be >= 1"),
+        (["extract", "--deltas", "inf"], None, "every quantization step must be > 0"),
+        (["simulate", "--deltas", "inf"], None, "every quantization step must be > 0"),
+        (["extract", "--threshold-db", "nan"], None, "threshold_db must be finite"),
+        (["extract", "--threshold-db", "inf"], None, "threshold_db must be finite"),
+        (["extract"], "threshold_db=-inf\n", "threshold_db must be finite"),
+        (["segment-report", "--threshold-db", "nan"], None, "threshold_db must be finite"),
+        (["segment-report", "--threshold-db", "inf"], None, "threshold_db must be finite"),
+        (["segment-report", "--threshold-db=-inf"], None, "threshold_db must be finite"),
+        (["extract", "--deltas", "1,1e-320"], None, "quantization step 1e-320 is too small"),
+        (["simulate", "--deltas", "1e-320", "--signal-len", "4096", "--trials", "1",
+          "--nc-list", "8", "--frequencies", "2"], None, "quantization step 1e-320 is too small"),
     ])
     def test_rejected_setting_is_usage_error(self, extracted, cli_corpus, tmp_path, capsys,
                                              argv, config, message):
@@ -354,6 +365,28 @@ class TestRejectedInput:
         assert code == 2
         assert f"{conf}:2: not UTF-8 text" in capsys.readouterr().err
         assert not (tmp_path / "f.csv").exists()
+
+    def test_silence_hop_longer_than_frame_is_usage_error(self, cli_corpus, tmp_path, capsys):
+        _, protocol, audio_dir = cli_corpus
+        code = cli.main(["extract", "--protocol", str(protocol), "--audio-root", str(audio_dir),
+                         "--segment", "silence", "--out", str(tmp_path / "f.csv"),
+                         "--frame-len", "64", "--hop", "32"])
+        assert code == 64
+        assert "silence view's fixed hop of 128" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_undecodable_meta_sidecar_exits_2(self, extracted, tmp_path, capsys):
+        _, features = extracted
+        copy = tmp_path / "f.csv"
+        copy.write_bytes(features.read_bytes())
+        meta = Path(str(copy) + ".meta.txt")
+        model = self.model_for(features, tmp_path, feature=[415, -1, -1])
+        meta.write_text("alpha=0.3\nsegment=full\n")
+        assert self.evaluate(model, copy, tmp_path) == 0
+        assert (tmp_path / "report.csv").read_text().splitlines()[-1].startswith("ALL,full,")
+        meta.write_bytes(b"alpha=0.3\nsegment=\xfffull\n")
+        assert self.evaluate(model, copy, tmp_path) == 2
+        assert f"{meta}:2: not UTF-8 text" in capsys.readouterr().err
 
     @pytest.mark.parametrize("probe", ["ragged_row", "bad_column_name", "non_finite", "label_7",
                                        "undecodable", "short_header"])

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from conftest import make_filtered_clip
 from fdspoof import asvspoof, fd_features as fd, segmentation
 from fdspoof.audio_io import AudioBuffer, peak_normalize
 from fdspoof.cepstral import CepstralConfig, CepstralMatrix, mfcc
-from fdspoof.exceptions import InsufficientDigits
+from fdspoof.exceptions import InsufficientDigits, SettingError
 from fdspoof.segmentation import EnergyConfig, SegmentKind
 
 MIN_DIGITS = fd.FdConfig().min_digits
@@ -166,6 +165,13 @@ class TestDigitPmf:
         assert str(info.value) == "10 non-zero values < required 12 (base=20, delta=1e+300)"
         assert fd.digit_pmf(columns, (1.0, 1e300), 20, 10).shape == (2, 2, 19)
 
+    def test_overflowing_step_is_a_setting_error(self):
+        # 1 / 1e-320 overflows to inf, which has no first digit
+        columns = np.array([[1e-30, 1.0], [2e-30, 1e-30]] * 10)
+        with pytest.raises(SettingError, match=r"^quantization step 1e-320 is too small"):
+            fd.digit_pmf(columns, (1.0, 1e-320), 10, 1)
+        assert fd.digit_pmf(columns[:, :1], (1.0, 1e-290), 10, 1).shape == (1, 2, 9)
+
     def test_benford_sampled_monte_carlo(self):
         rng = np.random.default_rng(2)
         values = 10.0 ** rng.uniform(0, 1, 100000)
@@ -208,8 +214,7 @@ class TestCellPmfs:
             buffer = peak_normalize(AudioBuffer(np.concatenate([quiet, clip, quiet, clip]),
                                                 16000, f"clip{seed}"))
             for view in segmentation.segment(buffer, EnergyConfig()):
-                config = CepstralConfig()
-                config = replace(config, hop=asvspoof.hop_for_segment(view.kind, config))
+                config = asvspoof.view_config(view.kind, CepstralConfig())
                 matrices.append(mfcc(segmentation.extract(buffer, view), config))
         return matrices
 

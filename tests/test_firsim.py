@@ -7,7 +7,13 @@ from scipy import signal as sp_signal
 from fdspoof import firsim
 from fdspoof.audio_io import AudioBuffer
 from fdspoof.cepstral import mfcc
-from fdspoof.exceptions import DesignFailure, FdspoofError, InsufficientDigits, SettingError
+from fdspoof.exceptions import (
+    DesignFailure,
+    EmptySignal,
+    FdspoofError,
+    InsufficientDigits,
+    SettingError,
+)
 from fdspoof.fd_features import FdConfig, digit_pmf, divergences, fit_benford
 from fdspoof.firsim import (
     FirDesignSpec,
@@ -130,6 +136,10 @@ class TestApplyFir:
         buf = AudioBuffer(np.ones(64), 16000, "c")
         out = apply_fir(buf, np.array([0.5, 0.5]))
         assert np.allclose(out.samples[1:], 1.0, atol=1e-12)
+
+    def test_all_zero_output_is_empty_signal(self):
+        with pytest.raises(EmptySignal, match=r"^c\+fir: all samples are zero"):
+            apply_fir(AudioBuffer(np.ones(64), 16000, "c"), np.zeros(3))
 
     def test_impulse_reproduces_coefficients(self):
         impulse = np.zeros(32)

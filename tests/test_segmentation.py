@@ -5,7 +5,7 @@ import pytest
 
 from fdspoof import segmentation
 from fdspoof.audio_io import AudioBuffer
-from fdspoof.exceptions import EmptySignal, LengthError, TooShort, ViewMismatch
+from fdspoof.exceptions import EmptySignal, TooShort, ViewMismatch
 from fdspoof.segmentation import EnergyConfig, SegmentKind, SegmentView, extract, segment
 
 CFG = EnergyConfig()
@@ -20,22 +20,125 @@ def buffer_of(samples, name="seg"):
     return AudioBuffer(np.asarray(samples, dtype=np.float64), 16000, name)
 
 
+def energy_of(samples):
+    """Energy (dB) of the first window of `samples`, as `window_labels` reports it."""
+    return segmentation.window_labels(buffer_of(samples), CFG)[0][2]
+
+
+# The per-window scoring and merging that `segment` replaced with one array
+# pass, kept as the oracle for it.
+
+def oracle_energy_db(samples):
+    power = float(np.mean(samples * samples))
+    if power == 0.0:
+        return -math.inf
+    return 10.0 * math.log10(power)
+
+
+def oracle_window_labels(buffer, config):
+    n = len(buffer)
+    if n < config.window_len:
+        raise TooShort(f"{buffer.source_id}: {n} samples < window of {config.window_len}")
+    rows = []
+    for i, start in enumerate(range(0, n, config.window_len)):
+        energy = oracle_energy_db(buffer.samples[start : start + config.window_len])
+        rows.append((i, start, energy, "voiced" if energy > config.threshold_db else "silence"))
+    return rows
+
+
+def oracle_merge_windows(indices, window_len, n):
+    if not indices:
+        return ()
+    ranges = []
+    run_start = prev = indices[0]
+    for i in indices[1:]:
+        if i != prev + 1:
+            ranges.append((run_start * window_len, min((prev + 1) * window_len, n)))
+            run_start = i
+        prev = i
+    ranges.append((run_start * window_len, min((prev + 1) * window_len, n)))
+    return tuple(ranges)
+
+
+def oracle_segment(buffer, config):
+    n = len(buffer)
+    rows = oracle_window_labels(buffer, config)
+    voiced_idx = [i for i, _, _, label in rows if label == "voiced"]
+    silent_idx = [i for i, _, _, label in rows if label == "silence"]
+    interior = ([i for i in silent_idx if voiced_idx[0] < i < voiced_idx[-1]]
+                if voiced_idx else [])
+    return (
+        SegmentView(SegmentKind.FULL, ((0, n),), buffer.source_id),
+        SegmentView(SegmentKind.SILENCE, oracle_merge_windows(interior, config.window_len, n),
+                    buffer.source_id),
+        SegmentView(SegmentKind.VOICED, oracle_merge_windows(voiced_idx, config.window_len, n),
+                    buffer.source_id),
+    )
+
+
+def oracle_samples(kind, n, window_len, rng):
+    """Test signals for the oracle: loud/quiet stretches with exact zeros,
+    all-silent, all-voiced, and windows whose power underflows to 0."""
+    if kind == "all_silent":
+        return 1e-4 * rng.uniform(-1, 1, n)
+    if kind == "all_voiced":
+        return 0.5 * tone(n) + 0.75  # every sample >= 0.25, above -40 dB alone
+    envelope = np.repeat(rng.uniform(0, 1, n // window_len + 1) ** 4, window_len)[:n]
+    samples = rng.uniform(-1, 1, n) * envelope
+    samples[rng.uniform(size=n) < 0.05] = 0.0
+    quiet = slice(n // 5, n // 3)
+    samples[quiet] = 10 ** (-54 / 20) * rng.uniform(-1, 1, samples[quiet].size)
+    if kind == "underflow":
+        # squares of 1e-170 underflow to 0 (energy -inf), of 1e-160 to subnormals
+        samples[n // 2 : n // 2 + 3 * window_len] = 1e-170
+        samples[n // 2 + 3 * window_len : n // 2 + 4 * window_len] = 1e-160
+    return samples
+
+
 class TestWindowEnergy:
     def test_unit_energy(self):
-        assert segmentation.window_energy_db(np.ones(W), CFG) == pytest.approx(0.0)
+        assert energy_of(np.ones(W)) == pytest.approx(0.0)
 
     def test_all_zero_is_minus_inf(self):
-        assert segmentation.window_energy_db(np.zeros(W), CFG) == -math.inf
+        assert energy_of(np.zeros(W)) == -math.inf
 
     def test_small_constant(self):
         # 10*log10(0.005^2) = -46.02 dB, safely below the -40 dB threshold
-        energy = segmentation.window_energy_db(np.full(W, 0.005), CFG)
+        energy = energy_of(np.full(W, 0.005))
         assert energy == pytest.approx(-46.0206, abs=1e-3)
         assert energy < CFG.threshold_db
 
-    def test_wrong_length(self):
-        with pytest.raises(LengthError):
-            segmentation.window_energy_db(np.ones(W - 1), CFG)
+
+class TestArrayPassMatchesPerWindowOracle:
+    @pytest.mark.parametrize("kind", ["mixed", "all_silent", "all_voiced", "underflow"])
+    @pytest.mark.parametrize("window_len", [1, 7, 101, 256])
+    def test_views_and_energies_equal(self, window_len, kind):
+        rng = np.random.default_rng(window_len)
+        config = EnergyConfig(window_len=window_len)
+        for n in sorted({window_len, 40 * window_len, 40 * window_len + window_len // 2 + 1,
+                         4001}):
+            if n < 4 * window_len and kind == "underflow":
+                continue
+            buffer = buffer_of(oracle_samples(kind, n, window_len, rng))
+            rows = segmentation.window_labels(buffer, config)
+            expected = oracle_window_labels(buffer, config)
+            assert [repr(row) for row in rows] == [repr(row) for row in expected]
+            views = segment(buffer, config)
+            assert views == oracle_segment(buffer, config)
+            bounds = [b for view in views for interval in view.index_ranges for b in interval]
+            assert all(type(b) is int for b in bounds)
+        if kind == "underflow":
+            assert any(row[2] == -math.inf for row in rows)
+        if kind in ("all_silent", "all_voiced"):
+            assert {row[3] for row in rows} == {"silence" if kind == "all_silent" else "voiced"}
+
+    def test_no_per_window_mean(self, monkeypatch):
+        calls = []
+        mean = np.mean
+        monkeypatch.setattr(np, "mean", lambda *a, **k: calls.append(1) or mean(*a, **k))
+        rows = segmentation.window_labels(buffer_of(tone(10 * W + 17)), CFG)
+        assert len(rows) == 11
+        assert len(calls) == 2  # the full windows at once, then the tail
 
 
 class TestSegment:
