@@ -266,12 +266,10 @@ def write_feature_csv(path: str | Path, dataset: LabeledDataset,
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([*_ID_COLUMNS, *(d.name for d in layout)])
-        for i in range(dataset.n_records):
+        for i, values in enumerate(dataset.features):
             system = dataset.system_ids[i] if dataset.system_ids else BONAFIDE_MARK
-            writer.writerow(
-                [dataset.record_ids[i], int(dataset.labels[i]), system,
-                 *(repr(float(v)) for v in dataset.features[i])]
-            )
+            writer.writerow([dataset.record_ids[i], int(dataset.labels[i]), system,
+                             *map(repr, values.tolist())])
 
 
 def _decoded_lines(path: str | Path, fh):
@@ -318,7 +316,7 @@ def read_feature_csv(path: str | Path) -> tuple[LabeledDataset, tuple[FeatureDes
                 raise ParseError(f"{where}: expected {len(header)} fields, got {len(row)}")
             try:
                 label = int(row[1])
-                rows.append([float(v) for v in row[3:]])
+                rows.append(list(map(float, row[3:])))
             except ValueError as exc:
                 raise ParseError(f"{where}: {exc}") from None
             if label not in (0, 1):

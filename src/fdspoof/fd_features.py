@@ -25,7 +25,12 @@ its best vertex and that vertex's residual; converged=False only means that
 the cap was hit. Points that violate gamma + d^delta > 0 evaluate to +inf and
 are therefore never accepted. The fitter runs many cells in lockstep as one
 vectorized batch; per-problem arithmetic is row-independent, so batch
-composition cannot change any result.
+composition cannot change any result. Each iteration evaluates every row's
+reflection, then makes one batched evaluation of the single further point
+that each row's rule needs (expansion, outside or inside contraction); a row
+that takes its reflection needs none, and only a rejected contraction
+evaluates the two shrunk vertices. The rules are the standard ones (Nelder &
+Mead 1965; Lagarias et al. 1998).
 """
 
 from __future__ import annotations
@@ -158,8 +163,12 @@ def _shape_batch(shape: np.ndarray, ln_digits: np.ndarray, ln_base: float) -> np
     """log_b(1 + 1/(gamma + d^delta)) for (..., 2) points (gamma, delta_exp),
     with d^delta = exp(delta * ln d); (..., D), nan where gamma + d^delta <= 0."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        t = shape[..., 0:1] + np.exp(shape[..., 1:2] * ln_digits)
-        g = np.log1p(1.0 / t) / ln_base
+        t = shape[..., 1:2] * ln_digits
+        np.exp(t, out=t)
+        t += shape[..., 0:1]
+        g = np.reciprocal(t)
+        np.log1p(g, out=g)
+        g /= ln_base
     return np.where(t > 0.0, g, np.nan)
 
 
@@ -177,14 +186,18 @@ def _projected_batch(shape: np.ndarray, probs: np.ndarray, ln_digits: np.ndarray
     g = _shape_batch(shape, ln_digits, ln_base)
     p = probs[:, None, :]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        beta = np.sum(p * g, axis=-1) / np.sum(g * g, axis=-1)
-        mse = np.mean((beta[..., None] * g - p) ** 2, axis=-1)
-    return beta, np.where(np.isfinite(mse), mse, np.inf)
+        beta = np.add.reduce(p * g, -1)
+        beta /= np.add.reduce(g * g, -1)
+        r = beta[..., None] * g
+        r -= p
+        r *= r
+        mse = np.add.reduce(r, -1)
+        mse /= ln_digits.size
+    # fmin(nan, inf) is inf, and mse is never -inf
+    return beta, np.fmin(mse, np.inf, out=mse)
 
 
-# Nelder-Mead trial points centroid + c * (centroid - worst): reflection,
-# expansion, outside and inside contraction (the standard coefficients)
-_TRIAL_STEPS = np.array([1.0, 2.0, 0.5, -0.5])
+# Nelder-Mead shrink coefficient; the loop spells out the trial-point ones
 _SHRINK = 0.5
 
 
@@ -215,19 +228,26 @@ def fit_benford_batch(probs: np.ndarray, base: int,
     params = np.empty((n_prob, 3))
     residual = np.empty(n_prob)
     converged = np.zeros(n_prob, dtype=bool)
-    # sim, fv and probs hold the active problems only, row-aligned with `active`
+    # sim, fv and probs hold the active problems only, row-aligned with `active`;
+    # `first` holds each active row's flat offset 3 * row, once per vertex
     active = np.arange(n_prob)
+    first = np.repeat(3 * active, 3).reshape(-1, 3)
 
     for iteration in range(max_iter + 1):
-        order = np.argsort(fv, axis=1, kind="stable")
-        by_row = np.arange(active.size)[:, None]
-        sim, fv = sim[by_row, order], fv[by_row, order]
+        # order each simplex best to worst: one stable argsort, one flat gather
+        order = fv.argsort(axis=1, kind="stable")
+        order += first
+        fv = fv.take(order)
+        sim = sim.reshape(-1, 2).take(order, axis=0)
 
-        diam = np.max(np.abs(sim[:, 1:, :] - sim[:, :1, :]), axis=(1, 2))
-        spread = fv[:, 2] - fv[:, 0]
-        done = (diam <= FIT_X_TOL) | (spread <= FIT_F_TOL * fv[:, 0] + FIT_F_TOL_ABS)
-        finished = done if iteration < max_iter else np.ones(active.size, dtype=bool)
-        if finished.any():
+        edge = sim[:, 1:] - sim[:, :1]
+        diam = np.maximum.reduce(np.abs(edge, out=edge).reshape(-1, 4), 1)
+        f_tol = FIT_F_TOL * fv[:, 0]
+        f_tol += FIT_F_TOL_ABS
+        done = fv[:, 2] - fv[:, 0] <= f_tol
+        done |= diam <= FIT_X_TOL
+        if iteration == max_iter or np.count_nonzero(done):
+            finished = done if iteration < max_iter else np.ones(active.size, dtype=bool)
             idx = active[finished]
             params[idx, 0] = _projected_batch(sim[finished, :1, :], probs[finished],
                                               ln_digits, ln_base)[0][:, 0]
@@ -236,33 +256,53 @@ def fit_benford_batch(probs: np.ndarray, base: int,
             converged[idx] = done[finished]
             keep = ~finished
             sim, fv, probs, active = sim[keep], fv[keep], probs[keep], active[keep]
-        if active.size == 0:
-            break
+            first = first[:active.size]
+            if active.size == 0:
+                break
 
-        centroid = sim[:, :2, :].mean(axis=1)
-        trial = centroid[:, None, :] + _TRIAL_STEPS[:, None] * (centroid - sim[:, 2, :])[:, None, :]
-        ft = _projected_batch(trial, probs, ln_digits, ln_base)[1]
-        fr, fe, f_out, f_in = ft.T
-        f_best, f_second, f_worst = fv.T
-        # expand if the reflection beats the best vertex, keep the reflection
-        # if it beats the second-worst, else contract: outside when the
-        # reflection beats the worst vertex (accepted if no worse than the
-        # reflection), inside otherwise (accepted if better than the worst);
-        # -1 marks a rejected contraction, which shrinks the simplex
-        pick = np.where(
-            fr < f_best, np.where(fe < fr, 1, 0),
-            np.where(fr < f_second, 0,
-                     np.where(fr < f_worst, np.where(f_out <= fr, 2, -1),
-                              np.where(f_in < f_worst, 3, -1))))
-        shrink = pick < 0
-        pick = np.maximum(pick, 0)
-        rows = np.arange(active.size)
-        sim[:, 2, :] = np.where(shrink[:, None], sim[:, 2, :], trial[rows, pick])
-        fv[:, 2] = np.where(shrink, f_worst, ft[rows, pick])
-        if shrink.any():
-            s = np.nonzero(shrink)[0]
-            sim[s, 1:, :] = sim[s, :1, :] + _SHRINK * (sim[s, 1:, :] - sim[s, :1, :])
-            fv[s, 1:] = _projected_batch(sim[s, 1:, :], probs[s], ln_digits, ln_base)[1]
+        # every row evaluates its reflection centroid + (centroid - worst)
+        centroid = sim[:, :1] + sim[:, 1:2]
+        centroid /= 2
+        step = centroid - sim[:, 2:]
+        trial = centroid + step
+        fr = _projected_batch(trial, probs, ln_digits, ln_base)[1][:, 0]
+        # the reflection picks each row's rule: expand if it beats the best
+        # vertex, take it if it beats the second-worst, else contract, outside
+        # if it beats the worst vertex and inside otherwise
+        f_best, f_second, f_worst = fv[:, 0], fv[:, 1], fv[:, 2]
+        expand = fr < f_best
+        contract = fr >= f_second
+        inside = fr >= f_worst
+        rows = (expand | contract).nonzero()[0]
+        if rows.size:
+            # one batched evaluation of the one further point each of these
+            # rows needs: expansion (2), outside (0.5) or inside contraction (-0.5)
+            point = np.where(expand, 2.0, np.where(inside, -0.5, 0.5))[:, None, None] * step
+            point += centroid
+            f2 = np.full_like(fr, np.inf)
+            f2[rows] = _projected_batch(point.take(rows, 0), probs.take(rows, 0),
+                                        ln_digits, ln_base)[1][:, 0]
+            # accept an expansion that beats the reflection (else keep the
+            # reflection), an outside contraction no worse than the reflection,
+            # an inside one better than the worst vertex; a row that takes its
+            # reflection keeps f2 = inf and accepts nothing
+            accept = np.where(inside, f2 < f_worst, np.where(expand, f2 < fr, f2 <= fr))
+            np.copyto(trial, point, where=accept[:, None, None])
+            np.copyto(fr, f2, where=accept)
+            contract &= ~accept
+        # the new point replaces the worst vertex, except where a rejected
+        # contraction shrinks the simplex towards its best vertex instead
+        np.copyto(sim[:, 2:], trial, where=~contract[:, None, None])
+        np.copyto(fv[:, 2], fr, where=~contract)
+        shrink = contract.nonzero()[0]
+        if shrink.size:
+            shrunk = sim.take(shrink, 0)
+            shrunk[:, 1:] -= shrunk[:, :1]
+            shrunk[:, 1:] *= _SHRINK
+            shrunk[:, 1:] += shrunk[:, :1]
+            sim[shrink] = shrunk
+            fv[shrink, 1:] = _projected_batch(shrunk[:, 1:], probs.take(shrink, 0),
+                                              ln_digits, ln_base)[1]
 
     return params, residual, converged
 

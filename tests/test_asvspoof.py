@@ -1,3 +1,4 @@
+import csv
 import shutil
 
 import numpy as np
@@ -233,6 +234,36 @@ class TestFeatureCsv:
         assert np.array_equal(back.features, dataset.features)
         assert back.record_ids == dataset.record_ids
         assert back.system_ids == dataset.system_ids
+
+    def test_bytes_match_per_scalar_writer(self, tmp_path):
+        # the row writer formats each value as repr(float(numpy scalar)) did
+        layout = feature_layout(FdConfig(bases=(10,), deltas=(1.0,)), (2, 3))
+        values = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, -1.5, -0.1, 1 / 3, -7.25e-12]
+        rows = np.array([values[:8], values[2:]])
+        dataset = LabeledDataset(rows, np.array([0, 1]), ("a", "b"), layout_hash(layout),
+                                 ("-", "A01"))
+        path = tmp_path / "f.csv"
+        write_feature_csv(path, dataset, layout)
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["record_id", "label", "system_id", *(d.name for d in layout)])
+            for i in range(dataset.n_records):
+                writer.writerow([dataset.record_ids[i], int(dataset.labels[i]),
+                                 dataset.system_ids[i],
+                                 *(repr(float(v)) for v in dataset.features[i])])
+        assert path.read_bytes() == want.read_bytes()
+        assert "\na,0,-,-0.0,0.0,5e-324,-5e-324,1e+308,-1e+308,-1.5,-0.1\n" in path.read_text()
+        assert np.array_equal(read_feature_csv(path)[0].features, rows)
+
+    def test_unparsable_value_names_its_line(self, tmp_path):
+        layout = feature_layout(FdConfig(bases=(10,), deltas=(1.0,)), (2,))
+        path = tmp_path / "f.csv"
+        path.write_text("record_id,label,system_id," + ",".join(d.name for d in layout)
+                        + "\na,0,-,1.0,2.0,3.0,4.0\nb,1,A01,1.0,2.0,x1,4.0\n")
+        with pytest.raises(ParseError) as info:
+            read_feature_csv(path)
+        assert str(info.value) == f"{path}:3: could not convert string to float: 'x1'"
 
 
 def synthetic_dataset(n_per_class, layout, seed, systems=("A01", "A02")):

@@ -243,6 +243,119 @@ class TestCellPmfs:
         assert calls == [20, 10]
 
 
+def four_point_projected(shape, probs, ln_digits, ln_base):
+    """(beta, mse) of (B, K, 2) shape points, with the curve written out with
+    np.sum and np.mean: the oracle of `fd._projected_batch`."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t = shape[..., 0:1] + np.exp(shape[..., 1:2] * ln_digits)
+        g = np.where(t > 0.0, np.log1p(1.0 / t) / ln_base, np.nan)
+        p = probs[:, None, :]
+        beta = np.sum(p * g, axis=-1) / np.sum(g * g, axis=-1)
+        mse = np.mean((beta[..., None] * g - p) ** 2, axis=-1)
+    return beta, np.where(np.isfinite(mse), mse, np.inf)
+
+
+def four_point_fit(probs, base, max_iter=fd.FIT_MAX_ITER):
+    """The lockstep Nelder-Mead fit that evaluates all four trial points of
+    every active row on every iteration (reflection, expansion, outside and
+    inside contraction) and then keeps the one the row's rule picks: the
+    oracle `fd.fit_benford_batch` must match bit for bit."""
+    probs = np.ascontiguousarray(probs, dtype=np.float64)
+    if probs.ndim == 1:
+        probs = probs[None, :]
+    n_prob = probs.shape[0]
+    ln_digits = np.log(np.arange(1, base, dtype=np.float64))
+    ln_base = math.log(base)
+    steps = np.array([1.0, 2.0, 0.5, -0.5])
+
+    x0 = np.array(fd.FIT_START)
+    sim0 = np.tile(x0, (3, 1))
+    for i in range(2):
+        sim0[i + 1, i] = x0[i] * 1.05 if x0[i] != 0.0 else 0.00025
+    sim = np.tile(sim0, (n_prob, 1, 1))
+    fv = four_point_projected(sim, probs, ln_digits, ln_base)[1]
+
+    params = np.empty((n_prob, 3))
+    residual = np.empty(n_prob)
+    converged = np.zeros(n_prob, dtype=bool)
+    active = np.arange(n_prob)
+
+    for iteration in range(max_iter + 1):
+        order = np.argsort(fv, axis=1, kind="stable")
+        by_row = np.arange(active.size)[:, None]
+        sim, fv = sim[by_row, order], fv[by_row, order]
+
+        diam = np.max(np.abs(sim[:, 1:, :] - sim[:, :1, :]), axis=(1, 2))
+        spread = fv[:, 2] - fv[:, 0]
+        done = (diam <= fd.FIT_X_TOL) | (spread <= fd.FIT_F_TOL * fv[:, 0] + fd.FIT_F_TOL_ABS)
+        finished = done if iteration < max_iter else np.ones(active.size, dtype=bool)
+        if finished.any():
+            idx = active[finished]
+            params[idx, 0] = four_point_projected(sim[finished, :1, :], probs[finished],
+                                                  ln_digits, ln_base)[0][:, 0]
+            params[idx, 1:] = sim[finished, 0, :]
+            residual[idx] = fv[finished, 0]
+            converged[idx] = done[finished]
+            keep = ~finished
+            sim, fv, probs, active = sim[keep], fv[keep], probs[keep], active[keep]
+        if active.size == 0:
+            break
+
+        centroid = sim[:, :2, :].mean(axis=1)
+        trial = centroid[:, None, :] + steps[:, None] * (centroid - sim[:, 2, :])[:, None, :]
+        ft = four_point_projected(trial, probs, ln_digits, ln_base)[1]
+        fr, fe, f_out, f_in = ft.T
+        f_best, f_second, f_worst = fv.T
+        # -1 marks a rejected contraction, which shrinks the simplex
+        pick = np.where(
+            fr < f_best, np.where(fe < fr, 1, 0),
+            np.where(fr < f_second, 0,
+                     np.where(fr < f_worst, np.where(f_out <= fr, 2, -1),
+                              np.where(f_in < f_worst, 3, -1))))
+        shrink = pick < 0
+        pick = np.maximum(pick, 0)
+        rows = np.arange(active.size)
+        sim[:, 2, :] = np.where(shrink[:, None], sim[:, 2, :], trial[rows, pick])
+        fv[:, 2] = np.where(shrink, f_worst, ft[rows, pick])
+        if shrink.any():
+            s = np.nonzero(shrink)[0]
+            sim[s, 1:, :] = sim[s, :1, :] + fd._SHRINK * (sim[s, 1:, :] - sim[s, :1, :])
+            fv[s, 1:] = four_point_projected(sim[s, 1:, :], probs[s], ln_digits, ln_base)[1]
+
+    return params, residual, converged
+
+
+def assert_same_fit(got, want):
+    for name, a, b in zip(("params", "residual", "converged"), got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def pmf_rows(draw, base):
+    """One base-`base` digit pmf: arbitrary, one-hot, uniform, on two digits,
+    or with tied weights."""
+    n = base - 1
+    kind = draw(st.sampled_from(("any", "one-hot", "uniform", "two-digit", "tied")))
+    if kind == "one-hot":
+        weights = [0.0] * n
+        weights[draw(st.integers(0, n - 1))] = 1.0
+    elif kind == "uniform":
+        weights = [1.0] * n
+    elif kind == "two-digit":
+        weights = [0.0] * n
+        first, second = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                      unique=True))
+        weights[first], weights[second] = draw(st.floats(0.01, 1.0)), draw(st.floats(0.01, 1.0))
+    elif kind == "tied":
+        weights = draw(st.lists(st.sampled_from((0.0, 1.0, 2.0)), min_size=n, max_size=n)
+                       .filter(lambda w: sum(w) > 0.0))
+    else:
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+                       .filter(lambda w: sum(w) > 0.0))
+    return np.array(weights) / sum(weights)
+
+
 class TestBenfordIdeal:
     """The generalized Benford curve, through the evaluator the fit uses."""
 
@@ -345,6 +458,59 @@ class TestFitBenford:
             assert np.array_equal(alone[0][0], together[0][i])
             assert alone[1][0] == together[1][i]
             assert alone[2][0] == together[2][i]
+
+
+class TestFitMatchesFourPointOracle:
+    """The fit evaluates each row's reflection, then only the one further
+    point the row's rule needs; its output is that of the four-point loop."""
+
+    @pytest.fixture(scope="class")
+    def clip_pmfs(self):
+        """Per base, the cell pmfs of full-view MFCCs of FIR-noise clips."""
+        config = fd.FdConfig()
+        pmfs = [[] for _ in config.bases]
+        for n_coeffs, seed in ((8, 31), (32, 32), (128, 33)):
+            buffer = peak_normalize(AudioBuffer(make_filtered_clip(n_coeffs, seed).samples,
+                                                16000, f"clip{seed}"))
+            matrix = mfcc(buffer, CepstralConfig())
+            for b, probs in enumerate(fd.cell_pmfs(matrix, config)):
+                pmfs[b].append(probs)
+        return {base: np.concatenate(p) for base, p in zip(config.bases, pmfs)}
+
+    @pytest.mark.parametrize("base", [10, 20])
+    @pytest.mark.parametrize("max_iter", [0, 1, 5, 2000])
+    def test_clip_pmfs_batch(self, clip_pmfs, base, max_iter):
+        probs = clip_pmfs[base]
+        assert_same_fit(fd.fit_benford_batch(probs, base, max_iter),
+                        four_point_fit(probs, base, max_iter))
+
+    @pytest.mark.parametrize("base", [10, 20])
+    def test_clip_pmfs_one_row_at_a_time(self, clip_pmfs, base):
+        probs = clip_pmfs[base]
+        for i in range(0, len(probs), 13):
+            assert_same_fit(fd.fit_benford_batch(probs[i], base), four_point_fit(probs[i], base))
+
+    @pytest.mark.parametrize("base", [10, 20])
+    def test_two_equal_digit_pmfs(self, base):
+        # some of these fits meet exact ties between a trial value and a
+        # vertex value, where each rule's strict or non-strict test decides
+        pairs = [(i, j) for i in range(base - 1) for j in range(i + 1, base - 1)]
+        probs = np.zeros((len(pairs), base - 1))
+        for row, pair in enumerate(pairs):
+            probs[row, list(pair)] = 0.5
+        assert_same_fit(fd.fit_benford_batch(probs, base), four_point_fit(probs, base))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from([3, 10, 20]).flatmap(lambda base: st.tuples(
+        st.just(base), st.lists(pmf_rows(base), min_size=1, max_size=5),
+        st.sampled_from([0, 1, 5, 2000]))))
+    def test_hypothesis_pmfs(self, case):
+        base, rows, max_iter = case
+        probs = np.vstack(rows)
+        assert_same_fit(fd.fit_benford_batch(probs, base, max_iter),
+                        four_point_fit(probs, base, max_iter))
+        assert_same_fit(fd.fit_benford_batch(probs[0], base, max_iter),
+                        four_point_fit(probs[0], base, max_iter))
 
 
 class TestDivergences:
