@@ -23,6 +23,7 @@ from . import audio_io, cepstral, fd_features, parallel, segmentation
 from .cepstral import CepstralConfig
 from .exceptions import (
     DegenerateProtocol,
+    EmptyDataset,
     EmptySignal,
     FdspoofError,
     InsufficientData,
@@ -296,8 +297,8 @@ def _csv_rows(path: str | Path, fh):
 
 def read_feature_csv(path: str | Path) -> tuple[LabeledDataset, tuple[FeatureDescriptor, ...]]:
     """Read a feature CSV; ParseError, with file:line, on undecodable bytes, a
-    header without the three id columns, an unparsable column name, a ragged
-    row, a label outside {0, 1} or a non-finite value."""
+    header without the id columns or any feature column, an unparsable column
+    name, a ragged row, a label outside {0, 1} or a non-finite value."""
     with open(path, "rb") as fh:
         rows_of = _csv_rows(path, fh)
         _, header = next(rows_of, (1, None))
@@ -305,6 +306,8 @@ def read_feature_csv(path: str | Path) -> tuple[LabeledDataset, tuple[FeatureDes
             raise ParseError(f"{path}:1: empty feature file")
         if header[:3] != list(_ID_COLUMNS):
             raise ParseError(f"{path}:1: header must start with {','.join(_ID_COLUMNS)}")
+        if len(header) == len(_ID_COLUMNS):
+            raise ParseError(f"{path}:1: header names no feature columns")
         try:
             layout = tuple(fd_features.parse_feature_name(name) for name in header[3:])
         except ValueError as exc:
@@ -380,7 +383,10 @@ def evaluate_with_aggregate(
     Every record is predicted once. A system's row scores all bonafide records
     (system `-`) together with that system's records and counts them by
     system; the `ALL` row scores every record and counts the classes by label.
+    EmptyDataset if the dataset has no records.
     """
+    if dataset.n_records == 0:
+        raise EmptyDataset("cannot evaluate an empty dataset")
     correct = predict_batch(model, dataset) == dataset.labels
     systems = np.array(dataset.system_ids)
     bonafide = systems == BONAFIDE_MARK

@@ -28,7 +28,6 @@ class CepstralConfig:
     n_filters: int = 26
     coeff_lo: int = 2
     coeff_hi: int = 14
-    sample_rate: int = 16000
 
     def __post_init__(self) -> None:
         if not (0 < self.hop <= self.frame_len):
@@ -112,7 +111,7 @@ def mfcc(buffer: AudioBuffer, config: CepstralConfig = CepstralConfig()) -> Ceps
     """MFCC matrix of the buffer, keeping coefficients coeff_lo..coeff_hi."""
     tapered = frame(buffer, config)
     power = np.abs(np.fft.rfft(tapered, axis=1)) ** 2
-    bank = mel_filterbank(config.n_filters, config.frame_len, config.sample_rate)
+    bank = mel_filterbank(config.n_filters, config.frame_len, buffer.sample_rate)
     energies = np.maximum(power @ bank.T, ENERGY_FLOOR)
     cepstra = np.log(energies) @ dct_matrix(config.n_filters).T
     kept = cepstra[:, config.coeff_lo - 1 : config.coeff_hi]

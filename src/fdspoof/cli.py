@@ -115,7 +115,7 @@ def _parser_for(default):
 # name -> (parser, default), from the fields of the configs, in flag order
 _SETTINGS = {
     f.name: (_parser_for(f.default), f.default)
-    for config in _CONFIGS for f in fields(config) if f.name != "sample_rate"
+    for config in _CONFIGS for f in fields(config)
 }
 
 
@@ -138,7 +138,7 @@ def resolve_settings(args: argparse.Namespace) -> dict:
 
 
 def _configs_from(settings: dict) -> tuple[EnergyConfig, CepstralConfig, FdConfig]:
-    return tuple(config(**{f.name: settings[f.name] for f in fields(config) if f.name in settings})
+    return tuple(config(**{f.name: settings[f.name] for f in fields(config)})
                  for config in _CONFIGS)
 
 

@@ -10,9 +10,11 @@ Records take one path: `cell_pmfs` builds a record's cell pmfs with one
 `digit_pmf` call per base, and `assemble_features_many` fits the pmfs of a
 batch of records with one `fit_benford_batch` call per base. The curve has one
 evaluator, `_shape_batch`, which computes d^delta as exp(delta * ln d); the
-fit, its projection and the divergences all use it. `fit_benford(probs, base)`
-and `divergences(probs, base, fit)` are single-pmf wrappers over the same
-batched code; no feature path calls them.
+fit and its projection use it. The fit reports each row's curve, beta * g at
+its best vertex, and that curve's residual, not the parameters; the
+divergences read the curve. `fit_benford(probs, base)`, which returns a
+`BenfordFit(curve, residual_mse, converged)`, and `divergences(probs, fit)`
+are single-pmf wrappers over the same batched code; no feature path calls them.
 
 The curve fit projects beta out (variable projection): beta enters the curve
 linearly, so at every (gamma, delta_exp) it takes its least-squares value
@@ -78,9 +80,7 @@ class FdConfig:
 
 @dataclass(frozen=True)
 class BenfordFit:
-    beta: float
-    gamma: float
-    delta_exp: float
+    curve: np.ndarray  # (base-1,) fitted curve beta * g at d = 1..base-1
     residual_mse: float
     converged: bool
 
@@ -172,29 +172,30 @@ def _shape_batch(shape: np.ndarray, ln_digits: np.ndarray, ln_base: float) -> np
     return np.where(t > 0.0, g, np.nan)
 
 
-def _curve_batch(params: np.ndarray, ln_digits: np.ndarray, ln_base: float) -> np.ndarray:
-    """The curve beta * shape for a (B, 3) parameter batch; (B, D)."""
-    return params[:, 0:1] * _shape_batch(params[:, 1:], ln_digits, ln_base)
+def _scale_batch(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """beta = <p,g>/<g,g> over the last axis, the least-squares scale of shapes g."""
+    beta = np.add.reduce(p * g, -1)
+    beta /= np.add.reduce(g * g, -1)
+    return beta
 
 
 def _projected_batch(shape: np.ndarray, probs: np.ndarray, ln_digits: np.ndarray,
-                     ln_base: float) -> tuple[np.ndarray, np.ndarray]:
-    """(beta, mse), each (B, K), for (B, K, 2) shape points against (B, D)
-    pmfs: beta = <p,g>/<g,g> is the least-squares scale of the shape g, and
-    mse that of beta*g - p, +inf where it is not finite (which includes every
-    point with gamma + d^delta <= 0 at some digit)."""
+                     ln_base: float) -> np.ndarray:
+    """(B, K) mse of beta*g - p for (B, K, 2) shape points against (B, D)
+    pmfs, with g the shape and beta its least-squares scale; +inf where it is
+    not finite (which includes every point with gamma + d^delta <= 0 at some
+    digit)."""
     g = _shape_batch(shape, ln_digits, ln_base)
     p = probs[:, None, :]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        beta = np.add.reduce(p * g, -1)
-        beta /= np.add.reduce(g * g, -1)
+        beta = _scale_batch(p, g)
         r = beta[..., None] * g
         r -= p
         r *= r
         mse = np.add.reduce(r, -1)
         mse /= ln_digits.size
     # fmin(nan, inf) is inf, and mse is never -inf
-    return beta, np.fmin(mse, np.inf, out=mse)
+    return np.fmin(mse, np.inf, out=mse)
 
 
 # Nelder-Mead shrink coefficient; the loop spells out the trial-point ones
@@ -206,13 +207,11 @@ def fit_benford_batch(probs: np.ndarray, base: int,
     """Nelder-Mead fit of each row of a (B, base-1) pmf matrix.
 
     The simplex moves in (gamma, delta_exp) only; beta is projected out in
-    closed form at every point. Returns (params (B,3), residual (B,),
-    converged (B,)): each row's best vertex with its beta and mse, and
-    converged=False where the row hit the iteration cap.
+    closed form at every point. Returns (curves (B, base-1), residual (B,),
+    converged (B,)): each row's curve beta * g at its best vertex and that
+    curve's mse, and converged=False where the row hit the iteration cap.
     """
     probs = np.ascontiguousarray(probs, dtype=np.float64)
-    if probs.ndim == 1:
-        probs = probs[None, :]
     n_prob = probs.shape[0]
     ln_digits = np.log(np.arange(1, base, dtype=np.float64))
     ln_base = math.log(base)
@@ -223,9 +222,9 @@ def fit_benford_batch(probs: np.ndarray, base: int,
     for i in range(2):
         sim0[i + 1, i] = x0[i] * 1.05 if x0[i] != 0.0 else 0.00025
     sim = np.tile(sim0, (n_prob, 1, 1))
-    fv = _projected_batch(sim, probs, ln_digits, ln_base)[1]
+    fv = _projected_batch(sim, probs, ln_digits, ln_base)
 
-    params = np.empty((n_prob, 3))
+    curves = np.empty((n_prob, base - 1))
     residual = np.empty(n_prob)
     converged = np.zeros(n_prob, dtype=bool)
     # sim, fv and probs hold the active problems only, row-aligned with `active`;
@@ -249,9 +248,9 @@ def fit_benford_batch(probs: np.ndarray, base: int,
         if iteration == max_iter or np.count_nonzero(done):
             finished = done if iteration < max_iter else np.ones(active.size, dtype=bool)
             idx = active[finished]
-            params[idx, 0] = _projected_batch(sim[finished, :1, :], probs[finished],
-                                              ln_digits, ln_base)[0][:, 0]
-            params[idx, 1:] = sim[finished, 0, :]
+            # a best vertex has a finite mse, so its shape and beta are finite
+            g = _shape_batch(sim[finished, 0], ln_digits, ln_base)
+            curves[idx] = _scale_batch(probs[finished], g)[:, None] * g
             residual[idx] = fv[finished, 0]
             converged[idx] = done[finished]
             keep = ~finished
@@ -265,7 +264,7 @@ def fit_benford_batch(probs: np.ndarray, base: int,
         centroid /= 2
         step = centroid - sim[:, 2:]
         trial = centroid + step
-        fr = _projected_batch(trial, probs, ln_digits, ln_base)[1][:, 0]
+        fr = _projected_batch(trial, probs, ln_digits, ln_base)[:, 0]
         # the reflection picks each row's rule: expand if it beats the best
         # vertex, take it if it beats the second-worst, else contract, outside
         # if it beats the worst vertex and inside otherwise
@@ -281,7 +280,7 @@ def fit_benford_batch(probs: np.ndarray, base: int,
             point += centroid
             f2 = np.full_like(fr, np.inf)
             f2[rows] = _projected_batch(point.take(rows, 0), probs.take(rows, 0),
-                                        ln_digits, ln_base)[1][:, 0]
+                                        ln_digits, ln_base)[:, 0]
             # accept an expansion that beats the reflection (else keep the
             # reflection), an outside contraction no worse than the reflection,
             # an inside one better than the worst vertex; a row that takes its
@@ -302,30 +301,26 @@ def fit_benford_batch(probs: np.ndarray, base: int,
             shrunk[:, 1:] += shrunk[:, :1]
             sim[shrink] = shrunk
             fv[shrink, 1:] = _projected_batch(shrunk[:, 1:], probs.take(shrink, 0),
-                                              ln_digits, ln_base)[1]
+                                              ln_digits, ln_base)
 
-    return params, residual, converged
+    return curves, residual, converged
 
 
 def fit_benford(probs: np.ndarray, base: int) -> BenfordFit:
     """Fit the generalized Benford curve to one base-`base` digit pmf."""
-    params, residual, converged = fit_benford_batch(probs, base)
-    return BenfordFit(
-        beta=float(params[0, 0]),
-        gamma=float(params[0, 1]),
-        delta_exp=float(params[0, 2]),
-        residual_mse=float(residual[0]),
-        converged=bool(converged[0]),
-    )
+    curves, residual, converged = fit_benford_batch(np.asarray(probs)[None, :], base)
+    return BenfordFit(curve=curves[0], residual_mse=float(residual[0]),
+                      converged=bool(converged[0]))
 
 
 # ---------------------------------------------------------------------------
 # divergences
 # ---------------------------------------------------------------------------
 
-def _divergences_batch(probs: np.ndarray, params: np.ndarray, base: int,
-                       alpha: float, epsilon: float) -> np.ndarray:
-    """(B, 4) array of (js, renyi, tsallis, mse) rows.
+def _divergences_batch(probs: np.ndarray, curves: np.ndarray, alpha: float,
+                       epsilon: float) -> np.ndarray:
+    """(B, 4) array of (js, renyi, tsallis, mse) rows of (B, D) pmfs against
+    their (B, D) fitted curves.
 
     MSE compares the raw pmf against the raw curve; the ratio-based divergences
     floor both sides at epsilon and renormalize first, which keeps S_alpha <= 1
@@ -336,13 +331,11 @@ def _divergences_batch(probs: np.ndarray, params: np.ndarray, base: int,
     with 1 / (alpha - 1). The paper's abstract does not say which sign its Renyi
     term takes; this pinned formula is kept, so compare renyi by magnitude.
     """
-    ln_digits = np.log(np.arange(1, base, dtype=np.float64))
-    q_raw = _curve_batch(params, ln_digits, math.log(base))
-    mse = np.mean((probs - q_raw) ** 2, axis=1)
+    mse = np.mean((probs - curves) ** 2, axis=1)
 
     p = np.clip(probs, epsilon, None)
     p = p / p.sum(axis=1, keepdims=True)
-    q = np.clip(q_raw, epsilon, None)
+    q = np.clip(curves, epsilon, None)
     q = q / q.sum(axis=1, keepdims=True)
 
     log_ratio = np.log(p / q)
@@ -361,16 +354,15 @@ def fitted_divergences(probs: np.ndarray, base: int, alpha: float,
     """(B, 4) divergence rows of a (B, base-1) pmf matrix against its fitted
     curves, with every row fitted in one batch, and the (B,) converged mask of
     the fits; row i equals the single-pmf
-    `divergences(probs_i, base, fit_benford(probs_i, base))` bit for bit."""
-    params, _, converged = fit_benford_batch(probs, base)
-    return _divergences_batch(probs, params, base, alpha, epsilon), converged
+    `divergences(probs_i, fit_benford(probs_i, base))` bit for bit."""
+    curves, _, converged = fit_benford_batch(probs, base)
+    return _divergences_batch(probs, curves, alpha, epsilon), converged
 
 
-def divergences(probs: np.ndarray, base: int, fit: BenfordFit, alpha: float = 0.3,
+def divergences(probs: np.ndarray, fit: BenfordFit, alpha: float = 0.3,
                 epsilon: float = 1e-10) -> DivergenceSet:
-    """Divergence set between a base-`base` digit pmf and its fitted Benford curve."""
-    params = np.array([[fit.beta, fit.gamma, fit.delta_exp]])
-    row = _divergences_batch(np.asarray(probs)[None, :], params, base, alpha, epsilon)[0]
+    """Divergence set between a digit pmf and its fitted Benford curve."""
+    row = _divergences_batch(np.asarray(probs)[None, :], fit.curve[None, :], alpha, epsilon)[0]
     return DivergenceSet(js=float(row[0]), renyi=float(row[1]),
                          tsallis=float(row[2]), mse=float(row[3]))
 

@@ -27,7 +27,7 @@ import numpy as np
 # scipy.signal is imported inside the functions that use it: importing it
 # takes about a second, and no command but `simulate` needs it.
 from . import fd_features, parallel
-from .audio_io import AudioBuffer, peak_normalize
+from .audio_io import REQUIRED_RATE, AudioBuffer, peak_normalize
 from .cepstral import CepstralConfig, mfcc
 from .exceptions import DesignFailure, FdspoofError, SettingError
 from .fd_features import FdConfig, digit_pmf
@@ -120,12 +120,12 @@ def raw_gaussian(n_samples: int, seed) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(n_samples)
 
 
-def gaussian_source(n_samples: int, seed, sample_rate: int = 16000) -> AudioBuffer:
+def gaussian_source(n_samples: int, seed) -> AudioBuffer:
     """Peak-normalized Gaussian noise buffer."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     return peak_normalize(AudioBuffer(samples=raw_gaussian(n_samples, seed),
-                                      sample_rate=sample_rate, source_id=f"gaussian-{seed}"))
+                                      sample_rate=REQUIRED_RATE, source_id=f"gaussian-{seed}"))
 
 
 def apply_fir(buffer: AudioBuffer, coeffs: np.ndarray) -> AudioBuffer:

@@ -298,12 +298,14 @@ def grid_search(
     that differ only in n_trees therefore share one forest of their largest
     size, trained once; each size is scored from a running sum of dev votes,
     by the majority rule of `predict_batch`. Ties prefer fewer trees, then
-    gini.
+    gini. EmptyDataset, before any tree is grown, if dev has no records.
     """
     if train.layout_hash != dev.layout_hash:
         raise LayoutMismatch(
             f"train layout {train.layout_hash} != dev layout {dev.layout_hash}"
         )
+    if dev.n_records == 0:
+        raise EmptyDataset("cannot score a grid on an empty dev set")
     if grid is None:
         grid = default_grid(seed)
     sizes: dict[ForestConfig, set[int]] = {}

@@ -58,11 +58,17 @@ def test_criterion_1_first_digit_oracle_equivalence():
         assert mismatches == 0
 
 
+def classic_curve(base):
+    """The classic Benford curve, (beta, gamma, delta) = (1, 0, 1), from the
+    package's evaluator; beta = 1 scales the shape exactly."""
+    return fd._shape_batch(np.array([0.0, 1.0]),
+                           np.log(np.arange(1, base, dtype=float)), math.log(base))
+
+
 def test_criterion_2_benford_identities():
     with criterion(2, "classic Benford curve normalizes and hits p(1)=log10(2)"):
-        # the evaluator the fit and the divergences use
-        curve = fd._curve_batch(np.array([[1.0, 0.0, 1.0]]),
-                                np.log(np.arange(1, 10, dtype=float)), math.log(10))[0]
+        # the evaluator the fit uses
+        curve = classic_curve(10)
         total = sum(curve)
         assert abs(total - 1.0) < 1e-12
         assert curve[0] == pytest.approx(0.301030, abs=1e-6)
@@ -72,11 +78,11 @@ def test_criterion_3_divergence_identities():
     with criterion(3, "divergences vanish at p == p-hat; base-3 example = 0.0702 nats"):
         d = np.arange(1, 10, dtype=float)
         probs = np.log1p(1.0 / d) / np.log(10.0)
-        ds = fd.divergences(probs, 10, fd.BenfordFit(1.0, 0.0, 1.0, 0.0, True))
+        ds = fd.divergences(probs, fd.BenfordFit(classic_curve(10), 0.0, True))
         assert abs(ds.js) < 1e-12 and abs(ds.renyi) < 1e-12
         assert abs(ds.tsallis) < 1e-12 and abs(ds.mse) < 1e-12
 
-        ds3 = fd.divergences(np.array([0.5, 0.5]), 3, fd.BenfordFit(1.0, 0.0, 1.0, 0.0, True))
+        ds3 = fd.divergences(np.array([0.5, 0.5]), fd.BenfordFit(classic_curve(3), 0.0, True))
         q = np.array([math.log(2) / math.log(3), math.log(1.5) / math.log(3)])
         oracle_js = float(np.sum(0.5 * np.log(0.5 / q)) + np.sum(q * np.log(q / 0.5)))
         assert ds3.js == pytest.approx(0.0702, abs=1e-3)
@@ -109,7 +115,7 @@ def test_criterion_5_benford_vs_uniform_ordering():
         rng = np.random.default_rng(105)
         benford_values = 10.0 ** rng.uniform(0.0, 1.0, 100000)
         pmf_b = column_pmf(benford_values, 1.0, 10)
-        js_b = fd.divergences(pmf_b, 10, fd.fit_benford(pmf_b, 10)).js
+        js_b = fd.divergences(pmf_b, fd.fit_benford(pmf_b, 10)).js
         assert js_b < 0.01
 
         # Every member of the curve family is monotone in d (the uniform pmf is
@@ -117,7 +123,7 @@ def test_criterion_5_benford_vs_uniform_ordering():
         # mantissas in [2,3) u [8,9) give first digits 2 and 8 only.
         contrast_values = rng.choice((2.0, 8.0), 100000) + rng.uniform(0.0, 1.0, 100000)
         pmf_c = column_pmf(contrast_values, 1.0, 10)
-        js_c = fd.divergences(pmf_c, 10, fd.fit_benford(pmf_c, 10)).js
+        js_c = fd.divergences(pmf_c, fd.fit_benford(pmf_c, 10)).js
         assert js_c >= 10.0 * js_b, (
             f"js_contrast={js_c:.3e} is not 10x js_benford={js_b:.3e}; no monotone "
             "curve fits digits 2 and 8 alone, so the fit or the divergence is wrong"

@@ -20,7 +20,8 @@ def buffer_of(samples, name="cep"):
 # code with the pipeline implementation
 # ---------------------------------------------------------------------------
 
-def oracle_mfcc_frame(samples, cfg=CFG):
+def oracle_mfcc_frame(buffer, cfg=CFG):
+    samples, rate = buffer.samples, buffer.sample_rate
     n = cfg.frame_len
     assert len(samples) == n
     taper = np.array([0.5 * (1 - math.cos(2 * math.pi * k / (n - 1))) for k in range(n)])
@@ -38,9 +39,9 @@ def oracle_mfcc_frame(samples, cfg=CFG):
     def unmel(m):
         return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
 
-    edges = [unmel(mel(0.0) + (mel(cfg.sample_rate / 2) - mel(0.0)) * j / (cfg.n_filters + 1))
+    edges = [unmel(mel(0.0) + (mel(rate / 2) - mel(0.0)) * j / (cfg.n_filters + 1))
              for j in range(cfg.n_filters + 2)]
-    freqs = [i * cfg.sample_rate / n for i in range(n // 2 + 1)]
+    freqs = [i * rate / n for i in range(n // 2 + 1)]
     log_energies = []
     for j in range(cfg.n_filters):
         lo, mid, hi = edges[j], edges[j + 1], edges[j + 2]
@@ -100,16 +101,18 @@ class TestMfcc:
     def test_pure_sine_matches_oracle(self):
         t = np.arange(1024)
         samples = np.sin(2 * np.pi * 1000.0 * t / 16000.0)
-        matrix = mfcc(buffer_of(samples), CFG)
-        expected = oracle_mfcc_frame(samples)
+        buffer = buffer_of(samples)
+        matrix = mfcc(buffer, CFG)
+        expected = oracle_mfcc_frame(buffer)
         assert matrix.values.shape == (1, 13)
         assert np.allclose(matrix.values[0], expected, rtol=1e-6, atol=1e-9)
 
     def test_noise_frame_matches_oracle(self):
         samples = np.random.default_rng(3).standard_normal(1024)
         samples /= np.max(np.abs(samples))
-        matrix = mfcc(buffer_of(samples), CFG)
-        expected = oracle_mfcc_frame(samples)
+        buffer = buffer_of(samples)
+        matrix = mfcc(buffer, CFG)
+        expected = oracle_mfcc_frame(buffer)
         assert np.allclose(matrix.values[0], expected, rtol=1e-6, atol=1e-9)
 
     def test_deterministic(self):

@@ -9,7 +9,7 @@ import pytest
 
 import fdspoof
 from conftest import make_filtered_clip
-from fdspoof import audio_io, cli, fd_features, firsim
+from fdspoof import audio_io, cli, fd_features, firsim, forest
 from fdspoof.asvspoof import write_feature_csv
 from fdspoof.fd_features import FdConfig, feature_layout, layout_hash
 from fdspoof.forest import LabeledDataset
@@ -389,7 +389,7 @@ class TestRejectedInput:
         assert f"{meta}:2: not UTF-8 text" in capsys.readouterr().err
 
     @pytest.mark.parametrize("probe", ["ragged_row", "bad_column_name", "non_finite", "label_7",
-                                       "undecodable", "short_header"])
+                                       "undecodable", "short_header", "ids_only_header"])
     def test_malformed_feature_csv_exits_2(self, extracted, tmp_path, capsys, probe):
         _, features = extracted
         lines = features.read_text().splitlines()
@@ -404,6 +404,8 @@ class TestRejectedInput:
             lines[2] = "\x80" + lines[2]  # written as 0x80, a lone UTF-8 continuation byte
         elif probe == "short_header":
             lines = [line.split(",")[0] for line in lines]
+        elif probe == "ids_only_header":
+            lines = [",".join(line.split(",")[:3]) for line in lines]
         else:
             lines[2] = ",".join(fields[:1] + ["7"] + fields[2:])
         bad = tmp_path / "bad.csv"
@@ -413,8 +415,31 @@ class TestRejectedInput:
             "--model-out", str(tmp_path / "m.json"), "--n-trees", "2", "--criterion", "gini",
         ])
         assert code == 2
-        line = 1 if probe in ("bad_column_name", "short_header") else 3
+        line = 1 if probe in ("bad_column_name", "short_header", "ids_only_header") else 3
         assert f"{bad}:{line}:" in capsys.readouterr().err
+
+    def test_header_only_dev_file_exits_2_before_training(self, extracted, tmp_path,
+                                                          monkeypatch):
+        _, features = extracted
+        dev = tmp_path / "dev.csv"
+        dev.write_text(features.read_text().splitlines()[0] + "\n")
+        grown = []
+        grow = forest._grow
+        monkeypatch.setattr(forest, "_grow", lambda *args: grown.append(1) or grow(*args))
+        model = tmp_path / "m.json"
+        code = cli.main(["train", "--train-features", str(features), "--dev-features", str(dev),
+                         "--model-out", str(model)])
+        assert code == 2
+        assert grown == []
+        assert not model.exists() and not (tmp_path / "m.json.grid.csv").exists()
+
+    def test_header_only_features_file_exits_2_on_evaluate(self, extracted, tmp_path):
+        _, features = extracted
+        empty = tmp_path / "empty.csv"
+        empty.write_text(features.read_text().splitlines()[0] + "\n")
+        model = self.model_for(features, tmp_path)
+        assert self.evaluate(model, empty, tmp_path) == 2
+        assert not (tmp_path / "report.csv").exists()
 
     def model_for(self, features, tmp_path, **nodes):
         doc = three_node_doc()

@@ -51,7 +51,7 @@ def benford_probs(base=10, beta=1.0, gamma=0.0, delta=1.0):
 def curve(base, beta, gamma, delta):
     """The package's curve at d = 1..base-1, from the evaluator the fit uses."""
     ln_digits = np.log(np.arange(1, base, dtype=float))
-    return fd._curve_batch(np.array([[beta, gamma, delta]]), ln_digits, math.log(base))[0]
+    return beta * fd._shape_batch(np.array([gamma, delta]), ln_digits, math.log(base))
 
 
 def first_digit(x, base):
@@ -243,12 +243,19 @@ class TestCellPmfs:
         assert calls == [20, 10]
 
 
+def four_point_shape(shape, ln_digits, ln_base):
+    """The curve's shape at (..., 2) points, written out: the oracle of
+    `fd._shape_batch`."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t = shape[..., 0:1] + np.exp(shape[..., 1:2] * ln_digits)
+        return np.where(t > 0.0, np.log1p(1.0 / t) / ln_base, np.nan)
+
+
 def four_point_projected(shape, probs, ln_digits, ln_base):
     """(beta, mse) of (B, K, 2) shape points, with the curve written out with
     np.sum and np.mean: the oracle of `fd._projected_batch`."""
+    g = four_point_shape(shape, ln_digits, ln_base)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        t = shape[..., 0:1] + np.exp(shape[..., 1:2] * ln_digits)
-        g = np.where(t > 0.0, np.log1p(1.0 / t) / ln_base, np.nan)
         p = probs[:, None, :]
         beta = np.sum(p * g, axis=-1) / np.sum(g * g, axis=-1)
         mse = np.mean((beta[..., None] * g - p) ** 2, axis=-1)
@@ -259,10 +266,9 @@ def four_point_fit(probs, base, max_iter=fd.FIT_MAX_ITER):
     """The lockstep Nelder-Mead fit that evaluates all four trial points of
     every active row on every iteration (reflection, expansion, outside and
     inside contraction) and then keeps the one the row's rule picks: the
-    oracle `fd.fit_benford_batch` must match bit for bit."""
+    oracle `fd.fit_benford_batch` must match bit for bit. Each row reports
+    the curve beta * g at its best vertex."""
     probs = np.ascontiguousarray(probs, dtype=np.float64)
-    if probs.ndim == 1:
-        probs = probs[None, :]
     n_prob = probs.shape[0]
     ln_digits = np.log(np.arange(1, base, dtype=np.float64))
     ln_base = math.log(base)
@@ -275,7 +281,7 @@ def four_point_fit(probs, base, max_iter=fd.FIT_MAX_ITER):
     sim = np.tile(sim0, (n_prob, 1, 1))
     fv = four_point_projected(sim, probs, ln_digits, ln_base)[1]
 
-    params = np.empty((n_prob, 3))
+    curves = np.empty((n_prob, base - 1))
     residual = np.empty(n_prob)
     converged = np.zeros(n_prob, dtype=bool)
     active = np.arange(n_prob)
@@ -291,9 +297,9 @@ def four_point_fit(probs, base, max_iter=fd.FIT_MAX_ITER):
         finished = done if iteration < max_iter else np.ones(active.size, dtype=bool)
         if finished.any():
             idx = active[finished]
-            params[idx, 0] = four_point_projected(sim[finished, :1, :], probs[finished],
-                                                  ln_digits, ln_base)[0][:, 0]
-            params[idx, 1:] = sim[finished, 0, :]
+            beta = four_point_projected(sim[finished, :1, :], probs[finished],
+                                        ln_digits, ln_base)[0]
+            curves[idx] = beta * four_point_shape(sim[finished, 0, :], ln_digits, ln_base)
             residual[idx] = fv[finished, 0]
             converged[idx] = done[finished]
             keep = ~finished
@@ -322,11 +328,11 @@ def four_point_fit(probs, base, max_iter=fd.FIT_MAX_ITER):
             sim[s, 1:, :] = sim[s, :1, :] + fd._SHRINK * (sim[s, 1:, :] - sim[s, :1, :])
             fv[s, 1:] = four_point_projected(sim[s, 1:, :], probs[s], ln_digits, ln_base)[1]
 
-    return params, residual, converged
+    return curves, residual, converged
 
 
 def assert_same_fit(got, want):
-    for name, a, b in zip(("params", "residual", "converged"), got, want):
+    for name, a, b in zip(("curves", "residual", "converged"), got, want):
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
 
@@ -375,9 +381,22 @@ class TestBenfordIdeal:
         shape = fd._shape_batch(np.array([-2.5, 1.0]), ln_digits, math.log(10))
         assert np.isnan(shape[:2]).all() and np.isfinite(shape[2:]).all()
         probs = benford_probs()[None, :]
-        _, mse = fd._projected_batch(np.array([[[-2.5, 1.0], [0.0, 1.0]]]), probs,
-                                     ln_digits, math.log(10))
+        mse = fd._projected_batch(np.array([[[-2.5, 1.0], [0.0, 1.0]]]), probs,
+                                  ln_digits, math.log(10))
         assert mse[0, 0] == np.inf and mse[0, 1] < 1e-20
+
+    @pytest.mark.parametrize("base", [3, 10, 20])
+    def test_evaluator_matches_power_oracle(self, base):
+        # beta * exp(delta * ln d) against beta * d ** delta, at gammas down to
+        # just above the feasibility bound -min_d d^delta
+        d = np.arange(1, base, dtype=float)
+        for delta in (-3.0, 0.0, 0.5, 1.0, 7.0):
+            bound = np.min(d ** delta)
+            for gamma in (-0.99 * bound, -0.5 * bound, 0.0, 0.3, 5.0, 1e4):
+                for beta in (0.5, 1.0, 1.7):
+                    got = curve(base, beta, gamma, delta)
+                    want = benford_probs(base, beta, gamma, delta)
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestFitBenford:
@@ -385,7 +404,7 @@ class TestFitBenford:
         fit = fd.fit_benford(benford_probs(), 10)
         assert fit.converged
         assert fit.residual_mse < 1e-10
-        fitted = curve(10, fit.beta, fit.gamma, fit.delta_exp)
+        fitted = fit.curve
         assert np.allclose(fitted, benford_probs(), atol=1e-5)
 
     def test_generate_then_fit_recovers_curve(self):
@@ -406,8 +425,7 @@ class TestFitBenford:
         for _ in range(10):
             probs = rng.dirichlet(np.ones(9))
             fit = fd.fit_benford(probs, 10)
-            d = np.arange(1, 10, dtype=float)
-            assert np.all(fit.gamma + d ** fit.delta_exp > 0)
+            assert np.all(np.isfinite(fit.curve) & (fit.curve >= 0))
 
     @pytest.mark.parametrize("base", [10, 20])
     def test_spike_at_digit_one_converges(self, base):
@@ -416,7 +434,7 @@ class TestFitBenford:
         probs[0] = 1.0
         fit = fd.fit_benford(probs, base)
         assert fit.converged
-        assert fd.divergences(probs, base, fit).js < 1e-6
+        assert fd.divergences(probs, fit).js < 1e-6
 
     @pytest.mark.parametrize("base", [10, 20])
     def test_dirichlet_pmfs_converge(self, base):
@@ -426,7 +444,7 @@ class TestFitBenford:
         params, residual, converged = fd.fit_benford_batch(probs, base)
         assert np.mean(converged) >= 0.95
         for i in range(0, len(probs), 97):
-            alone = fd.fit_benford_batch(probs[i], base)
+            alone = fd.fit_benford_batch(probs[i:i + 1], base)
             assert np.array_equal(alone[0][0], params[i])
             assert alone[1][0] == residual[i]
             assert alone[2][0] == converged[i]
@@ -440,21 +458,19 @@ class TestFitBenford:
         base, weights = case
         probs = np.array(weights) / sum(weights)
         fit = fd.fit_benford(probs, base)
-        d = np.arange(1, base, dtype=float)
-        assert np.isfinite([fit.beta, fit.gamma, fit.delta_exp, fit.residual_mse]).all()
-        with np.errstate(over="ignore"):
-            assert np.all(fit.gamma + d ** fit.delta_exp > 0)
+        assert np.isfinite(fit.residual_mse)
+        assert np.all(np.isfinite(fit.curve) & (fit.curve >= 0))
         benford_mse = np.mean((benford_probs(base) - probs) ** 2)
         assert fit.residual_mse <= benford_mse + 1e-15
         # the residual is the mse of the reported curve
-        assert fd.divergences(probs, base, fit).mse == fit.residual_mse
+        assert fd.divergences(probs, fit).mse == fit.residual_mse
 
     def test_batch_composition_is_irrelevant(self):
         rng = np.random.default_rng(5)
         pmfs = rng.dirichlet(np.ones(9), size=8)
         together = fd.fit_benford_batch(pmfs, 10)
         for i in range(len(pmfs)):
-            alone = fd.fit_benford_batch(pmfs[i], 10)
+            alone = fd.fit_benford_batch(pmfs[i:i + 1], 10)
             assert np.array_equal(alone[0][0], together[0][i])
             assert alone[1][0] == together[1][i]
             assert alone[2][0] == together[2][i]
@@ -488,7 +504,8 @@ class TestFitMatchesFourPointOracle:
     def test_clip_pmfs_one_row_at_a_time(self, clip_pmfs, base):
         probs = clip_pmfs[base]
         for i in range(0, len(probs), 13):
-            assert_same_fit(fd.fit_benford_batch(probs[i], base), four_point_fit(probs[i], base))
+            one_row = probs[i:i + 1]
+            assert_same_fit(fd.fit_benford_batch(one_row, base), four_point_fit(one_row, base))
 
     @pytest.mark.parametrize("base", [10, 20])
     def test_two_equal_digit_pmfs(self, base):
@@ -509,14 +526,14 @@ class TestFitMatchesFourPointOracle:
         probs = np.vstack(rows)
         assert_same_fit(fd.fit_benford_batch(probs, base, max_iter),
                         four_point_fit(probs, base, max_iter))
-        assert_same_fit(fd.fit_benford_batch(probs[0], base, max_iter),
-                        four_point_fit(probs[0], base, max_iter))
+        assert_same_fit(fd.fit_benford_batch(probs[:1], base, max_iter),
+                        four_point_fit(probs[:1], base, max_iter))
 
 
 class TestDivergences:
     def test_identity_of_indiscernibles(self):
-        fit = fd.BenfordFit(1.0, 0.0, 1.0, 0.0, True)
-        ds = fd.divergences(benford_probs(), 10, fit)
+        fit = fd.BenfordFit(curve(10, 1.0, 0.0, 1.0), 0.0, True)
+        ds = fd.divergences(benford_probs(), fit)
         assert abs(ds.js) < 1e-12
         assert abs(ds.renyi) < 1e-12
         assert abs(ds.tsallis) < 1e-12
@@ -524,8 +541,8 @@ class TestDivergences:
 
     def test_base3_worked_example(self):
         # p = (0.5, 0.5) against the classic base-3 Benford curve
-        fit = fd.BenfordFit(1.0, 0.0, 1.0, 0.0, True)
-        ds = fd.divergences(np.array([0.5, 0.5]), 3, fit)
+        fit = fd.BenfordFit(curve(3, 1.0, 0.0, 1.0), 0.0, True)
+        ds = fd.divergences(np.array([0.5, 0.5]), fit)
         q = benford_probs(base=3)
         want = oracle_divergences([0.5, 0.5], list(q))
         assert ds.js == pytest.approx(0.0702, abs=1e-3)
@@ -537,8 +554,8 @@ class TestDivergences:
         # fitted curve identically 0.5 over d in {1, 2}: delta=0, beta chosen so
         # beta * log3(2) == 0.5
         beta = 0.5 / (math.log(2) / math.log(3))
-        fit = fd.BenfordFit(beta, 0.0, 0.0, 0.0, True)
-        assert fd.divergences(np.array([0.6, 0.4]), 3, fit).mse == pytest.approx(0.01, rel=1e-9)
+        fit = fd.BenfordFit(curve(3, beta, 0.0, 0.0), 0.0, True)
+        assert fd.divergences(np.array([0.6, 0.4]), fit).mse == pytest.approx(0.01, rel=1e-9)
 
     def test_nonnegativity_and_symmetry_against_oracle(self):
         rng = np.random.default_rng(6)
@@ -557,9 +574,9 @@ class TestDivergences:
         rng = np.random.default_rng(7)
         probs = rng.dirichlet(np.ones(9))
         fit = fd.fit_benford(probs, 10)
-        q = benford_probs(10, fit.beta, fit.gamma, fit.delta_exp)
+        q = fit.curve
         want = oracle_divergences(list(probs), list(q))
-        got = fd.divergences(probs, 10, fit)
+        got = fd.divergences(probs, fit)
         assert got.js == pytest.approx(want[0], rel=1e-9)
         assert got.renyi == pytest.approx(want[1], rel=1e-6, abs=1e-12)
         assert got.tsallis == pytest.approx(want[2], rel=1e-6, abs=1e-12)

@@ -173,8 +173,7 @@ def scalar_sweep(n_coeffs_list, deltas, frequencies, n_trials, signal_len, seed)
                                        FdConfig().min_digits)[0, 0]
             except FdspoofError:
                 continue
-            values.append(divergences(pmf, firsim.SWEEP_BASE,
-                                      fit_benford(pmf, firsim.SWEEP_BASE)).js)
+            values.append(divergences(pmf, fit_benford(pmf, firsim.SWEEP_BASE)).js)
         std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
         rows.append(SweepRow(nc, float(delta), freq, float(np.mean(values)), std, len(values)))
     return tuple(rows)
