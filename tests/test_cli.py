@@ -425,7 +425,12 @@ class TestRejectedInput:
         dev.write_text(features.read_text().splitlines()[0] + "\n")
         grown = []
         grow = forest._grow
-        monkeypatch.setattr(forest, "_grow", lambda *args: grown.append(1) or grow(*args))
+
+        def counted(*args):
+            grown.append(args)
+            return grow(*args)
+
+        monkeypatch.setattr(forest, "_grow", counted)
         model = tmp_path / "m.json"
         code = cli.main(["train", "--train-features", str(features), "--dev-features", str(dev),
                          "--model-out", str(model)])
