@@ -264,13 +264,19 @@ _ID_COLUMNS = ("record_id", "label", "system_id")
 
 def write_feature_csv(path: str | Path, dataset: LabeledDataset,
                       layout: tuple[FeatureDescriptor, ...]) -> None:
+    # csv quotes the id fields; the values are repr floats, which never need
+    # quoting, so they are joined as they are
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="")
         writer.writerow([*_ID_COLUMNS, *(d.name for d in layout)])
         for i, values in enumerate(dataset.features):
             system = dataset.system_ids[i] if dataset.system_ids else BONAFIDE_MARK
-            writer.writerow([dataset.record_ids[i], int(dataset.labels[i]), system,
-                             *map(repr, values.tolist())])
+            fh.write("\r\n")
+            writer.writerow([dataset.record_ids[i], int(dataset.labels[i]), system])
+            if layout:
+                fh.write(",")
+                fh.write(",".join(map(repr, values.tolist())))
+        fh.write("\r\n")
 
 
 def _decoded_lines(path: str | Path, fh):

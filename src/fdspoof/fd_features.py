@@ -10,29 +10,37 @@ Records take one path: `cell_pmfs` builds a record's cell pmfs with one
 `digit_pmf` call per base, and `assemble_features_many` fits the pmfs of a
 batch of records with one `fit_benford_batch` call per base. The curve has one
 evaluator, `_shape_batch`, which computes d^delta as exp(delta * ln d); the
-fit and its projection use it. The fit reports each row's curve, beta * g at
-its best vertex, and that curve's residual, not the parameters; the
-divergences read the curve. `fit_benford(probs, base)`, which returns a
-`BenfordFit(curve, residual_mse, converged)`, and `divergences(probs, fit)`
-are single-pmf wrappers over the same batched code; no feature path calls them.
+fit and its projection use it. The fit reports each row's curve and that
+curve's residual, not the parameters; the divergences read the curve.
+`fit_benford(probs, base)`, which returns a `BenfordFit(curve, residual_mse,
+converged)`, and `divergences(probs, fit)` are single-pmf wrappers over the
+same batched code; no feature path calls them.
 
 The curve fit projects beta out (variable projection): beta enters the curve
 linearly, so at every (gamma, delta_exp) it takes its least-squares value
 <p,g>/<g,g>, where g is the curve's shape log_b(1 + 1/(gamma + d^delta)).
 A Nelder-Mead simplex then searches the two remaining parameters, starting at
-the Benford point (gamma, delta_exp) = (0, 1). A fit stops when the simplex
+the Benford point (gamma, delta_exp) = (0, 1). A search stops when the simplex
 diameter is at most 1e-6 or the spread of its three values is at most
-1e-6 * f_best + 1e-12. It is capped at 2000 iterations, and it always reports
-its best vertex and that vertex's residual; converged=False only means that
-the cap was hit. Points that violate gamma + d^delta > 0 evaluate to +inf and
-are therefore never accepted. The fitter runs many cells in lockstep as one
-vectorized batch; per-problem arithmetic is row-independent, so batch
-composition cannot change any result. Each iteration evaluates every row's
-reflection, then makes one batched evaluation of the single further point
-that each row's rule needs (expansion, outside or inside contraction); a row
-that takes its reflection needs none, and only a rejected contraction
-evaluates the two shrunk vertices. The rules are the standard ones (Nelder &
-Mead 1965; Lagarias et al. 1998).
+1e-6 * f_best + 1e-12, and it is capped at 300 iterations. Points that violate
+gamma + d^delta > 0 evaluate to +inf and are therefore never accepted. The
+search runs many cells in lockstep as one vectorized batch; per-problem
+arithmetic is row-independent, so batch composition cannot change any result.
+Each iteration evaluates every row's reflection, then makes one batched
+evaluation of the single further point that each row's rule needs (expansion,
+outside or inside contraction); a row that takes its reflection needs none,
+and only a rejected contraction evaluates the two shrunk vertices. The rules
+are the standard ones (Nelder & Mead 1965; Lagarias et al. 1998).
+
+Many pmfs have no finite optimum: their residual falls as the parameters run
+off to infinity, towards a curve the family approaches but never reaches.
+Two kinds of such limit have a closed-form least-squares fit, computed for
+every row in one array pass: steps (`_step_batch`: a falling step at any
+digit, or a flat curve with its first or last digit at its own level) and
+log ramps (`_ramp_batch`: a * ln(min(d, c))). The fit reports the capped
+search's curve unless the best step, or then the best ramp, has the strictly
+lower residual. converged=False means that the search hit the cap and its
+curve is the one reported.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from .exceptions import InsufficientDigits, SettingError
 DIVERGENCE_NAMES = ("js", "renyi", "tsallis", "mse")
 
 FIT_START = (0.0, 1.0)  # (gamma, delta_exp) of the Benford curve; beta is projected
-FIT_MAX_ITER = 2000
+FIT_MAX_ITER = 300
 FIT_X_TOL = 1e-6  # stop once the simplex diameter is this small ...
 FIT_F_TOL = 1e-6  # ... or its f-spread is at most FIT_F_TOL * f_best + FIT_F_TOL_ABS
 FIT_F_TOL_ABS = 1e-12
@@ -179,6 +187,16 @@ def _scale_batch(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     return beta
 
 
+def _mse_batch(curves: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """mse over the last axis of curves against pmfs that broadcast to them;
+    the divergences' mse of a reported curve has the same bits."""
+    r = curves - probs
+    r *= r
+    mse = np.add.reduce(r, -1)
+    mse /= r.shape[-1]
+    return mse
+
+
 def _projected_batch(shape: np.ndarray, probs: np.ndarray, ln_digits: np.ndarray,
                      ln_base: float) -> np.ndarray:
     """(B, K) mse of beta*g - p for (B, K, 2) shape points against (B, D)
@@ -188,12 +206,7 @@ def _projected_batch(shape: np.ndarray, probs: np.ndarray, ln_digits: np.ndarray
     g = _shape_batch(shape, ln_digits, ln_base)
     p = probs[:, None, :]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        beta = _scale_batch(p, g)
-        r = beta[..., None] * g
-        r -= p
-        r *= r
-        mse = np.add.reduce(r, -1)
-        mse /= ln_digits.size
+        mse = _mse_batch(_scale_batch(p, g)[..., None] * g, p)
     # fmin(nan, inf) is inf, and mse is never -inf
     return np.fmin(mse, np.inf, out=mse)
 
@@ -204,14 +217,34 @@ _SHRINK = 0.5
 
 def fit_benford_batch(probs: np.ndarray, base: int,
                       max_iter: int = FIT_MAX_ITER) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nelder-Mead fit of each row of a (B, base-1) pmf matrix.
+    """Fit of each row of a (B, base-1) pmf matrix on the closure of the curve
+    family: the capped Nelder-Mead's curve, replaced by the row's best step,
+    then by its best log ramp, wherever that has the strictly lower residual.
+
+    Returns (curves (B, base-1), residual (B,), converged (B,)): each row's
+    reported curve and its mse, and converged=False where the Nelder-Mead hit
+    the iteration cap and its curve is the one reported.
+    """
+    probs = np.ascontiguousarray(probs, dtype=np.float64)
+    curves, residual, converged = _nelder_mead_batch(probs, base, max_iter)
+    for limit_curves, limit_residual in (_step_batch(probs), _ramp_batch(probs)):
+        lower = limit_residual < residual
+        curves[lower] = limit_curves[lower]
+        residual[lower] = limit_residual[lower]
+        converged |= lower
+    return curves, residual, converged
+
+
+def _nelder_mead_batch(probs: np.ndarray, base: int,
+                       max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nelder-Mead fit of each row of a C-contiguous float64 (B, base-1) pmf
+    matrix.
 
     The simplex moves in (gamma, delta_exp) only; beta is projected out in
     closed form at every point. Returns (curves (B, base-1), residual (B,),
     converged (B,)): each row's curve beta * g at its best vertex and that
     curve's mse, and converged=False where the row hit the iteration cap.
     """
-    probs = np.ascontiguousarray(probs, dtype=np.float64)
     n_prob = probs.shape[0]
     ln_digits = np.log(np.arange(1, base, dtype=np.float64))
     ln_base = math.log(base)
@@ -304,6 +337,89 @@ def fit_benford_batch(probs: np.ndarray, base: int,
                                               ln_digits, ln_base)
 
     return curves, residual, converged
+
+
+def _step_batch(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(curves (B, D), residual (B,)) of each row's least-squares step: the
+    best two-level curve that the family approaches but never reaches.
+
+    The candidates are a falling step for every transition digit k (level h on
+    digits 1..k-1, t in [0, h] at k, zero after; delta -> +inf with gamma near
+    k^delta) and a flat curve with one end digit at its own level (h on digits
+    2..D and any t >= 0 at digit 1, or h on 1..D-1 and t at D; delta -> 0 with
+    gamma -> -1 raises that digit, and delta -> -inf with gamma > 0, or a
+    falling step at k = D, lowers it). A rising step with two or more zero
+    digits is no such limit. Each candidate has a closed form: h is the mean
+    of its digits and t is p_k, except where a falling step's p_k exceeds h,
+    when both levels share the mean of digits 1..k. A row keeps the candidate
+    that explains the most of sum(p^2), the first on ties, and its residual is
+    the mse of the curve it reports.
+    """
+    n_prob, n_dig = probs.shape
+    digit = np.arange(n_dig)
+    # falling step with its transition at digit k = digit + 1; the plateau of
+    # k = 1 is empty, and there t = p_1 on either branch
+    upto = np.cumsum(probs, axis=1)
+    plateau = np.hstack([np.zeros((n_prob, 1)), upto[:, :-1]])
+    plateau_mean = plateau / np.maximum(digit, 1)
+    fits = probs <= plateau_mean
+    shared = upto / (digit + 1)
+    level = np.where(fits, plateau_mean, shared)
+    trans = np.where(fits, probs, shared)
+    gain = np.where(fits, plateau * plateau_mean + probs * probs, upto * shared)
+    # one end digit at p_1 or p_D, the other digits at their mean
+    end = probs[:, [0, -1]]
+    rest = np.column_stack([np.add.reduce(probs[:, 1:], 1), plateau[:, -1]])
+    rest_mean = rest / max(n_dig - 1, 1)
+    zero = np.zeros((n_prob, 1))
+    # per candidate: the curve is `below` before digit `pos`, `at` on it and
+    # `above` after it
+    below = np.hstack([level, zero, rest_mean[:, 1:]])
+    at = np.hstack([trans, end])
+    above = np.hstack([np.zeros_like(level), rest_mean[:, :1], zero])
+    pos = np.r_[digit, 0, n_dig - 1]
+    best = np.hstack([gain, end * end + rest * rest_mean]).argmax(axis=1)[:, None]
+    chosen = pos[best]
+    curves = np.where(digit < chosen, np.take_along_axis(below, best, 1),
+                      np.where(digit == chosen, np.take_along_axis(at, best, 1),
+                               np.take_along_axis(above, best, 1)))
+    return curves, _mse_batch(curves, probs)
+
+
+def _ramp_batch(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(curves (B, D), residual (B,)) of each row's least-squares log ramp
+    a * ln(min(d, c)) with a >= 0 and c >= 1: the limit of the family as
+    delta -> -inf with gamma = c^delta.
+
+    The candidates are a ray at every integer knee c = k, and inside every
+    interval k < c < k+1 the curve a * ln d up to digit k and b after it, with
+    a ln k <= b <= a ln(k+1); the second applies where the unconstrained fit
+    of (a, b) keeps that bound, and otherwise the optimum is on a ray. A row
+    keeps the candidate that explains the most of sum(p^2), the first on ties.
+    """
+    n_prob, n_dig = probs.shape
+    knee = np.arange(1, n_dig + 1)
+    ln_d = np.log(knee)
+    # sums over digits 1..k (sxy, sxx) and k+1..D (tail), for knee k = 1..D
+    sxy = np.cumsum(probs * ln_d, axis=1)
+    sxx = np.cumsum(ln_d * ln_d)
+    tail = np.hstack([np.cumsum(probs[:, :0:-1], axis=1)[:, ::-1], np.zeros((n_prob, 1))])
+    flat = n_dig - knee
+    ray_dot = sxy + ln_d * tail
+    ray_norm = sxx + flat * ln_d * ln_d
+    ray = np.divide(ray_dot, ray_norm, out=np.zeros_like(ray_dot), where=ray_norm > 0.0)
+    # a is free at k = 1, where the ramp is zero; b has no digits at k = D
+    slope = np.divide(sxy, sxx, out=np.zeros_like(sxy), where=sxx > 0.0)
+    level = np.divide(tail, flat, out=np.zeros_like(tail), where=flat > 0)
+    inside = (level <= slope * np.log(knee + 1)) | (knee == 1)
+    inside &= (level >= slope * ln_d) & (flat > 0)
+    gain = np.hstack([ray * ray_dot, np.where(inside, slope * sxy + level * tail, -1.0)])
+    best = gain.argmax(axis=1)[:, None]
+    at = knee[best % n_dig]
+    a = np.take_along_axis(np.hstack([ray, slope]), best, 1)
+    b = np.take_along_axis(np.hstack([ray * ln_d, level]), best, 1)
+    curves = np.where(knee <= at, a * ln_d, b)
+    return curves, _mse_batch(curves, probs)
 
 
 def fit_benford(probs: np.ndarray, base: int) -> BenfordFit:
@@ -416,7 +532,7 @@ def cell_pmfs(matrix: CepstralMatrix, config: FdConfig) -> list[np.ndarray]:
 def assemble_features_many(pmfs, config: FdConfig) -> tuple[np.ndarray, np.ndarray]:
     """(values (records, columns), capped fits (records,)) of many records'
     `cell_pmfs`, with one batched fit per base. `values` follows `feature_layout`;
-    `capped fits` counts a record's cells whose fit hit the iteration cap. A row
+    `capped fits` counts a record's cells whose fit reports converged=False. A row
     does not depend on the other records in the batch."""
     if not pmfs:
         return np.empty((0, 0)), np.zeros(0, dtype=np.int64)

@@ -239,9 +239,10 @@ class TestFeatureCsv:
         # the row writer formats each value as repr(float(numpy scalar)) did
         layout = feature_layout(FdConfig(bases=(10,), deltas=(1.0,)), (2, 3))
         values = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, -1.5, -0.1, 1 / 3, -7.25e-12]
-        rows = np.array([values[:8], values[2:]])
-        dataset = LabeledDataset(rows, np.array([0, 1]), ("a", "b"), layout_hash(layout),
-                                 ("-", "A01"))
+        rows = np.array([values[:8], values[2:], values[1:9]])
+        # the third record id holds a comma and quotes, which csv quotes
+        dataset = LabeledDataset(rows, np.array([0, 1, 1]), ("a", "b", 'c,"d"'),
+                                 layout_hash(layout), ("-", "A01", "A02"))
         path = tmp_path / "f.csv"
         write_feature_csv(path, dataset, layout)
         want = tmp_path / "want.csv"
@@ -254,7 +255,9 @@ class TestFeatureCsv:
                                  *(repr(float(v)) for v in dataset.features[i])])
         assert path.read_bytes() == want.read_bytes()
         assert "\na,0,-,-0.0,0.0,5e-324,-5e-324,1e+308,-1e+308,-1.5,-0.1\n" in path.read_text()
+        assert '\n"c,""d""",1,A02,0.0,5e-324,' in path.read_text()
         assert np.array_equal(read_feature_csv(path)[0].features, rows)
+        assert read_feature_csv(path)[0].record_ids == dataset.record_ids
 
     def test_unparsable_value_names_its_line(self, tmp_path):
         layout = feature_layout(FdConfig(bases=(10,), deltas=(1.0,)), (2,))

@@ -125,12 +125,19 @@ class TestExtract:
         assert 0 <= capped < 624 // 20
         assert "of 624 fits hit the iteration cap" in summary
 
-        # with a one-iteration cap every fit is capped; the outputs do not say so
+        # with a one-iteration cap, the count is that of the same pmfs' fits
+        # at that cap which report converged=False; the outputs do not say so
         fit = fd_features.fit_benford_batch
-        monkeypatch.setattr(fd_features, "fit_benford_batch",
-                            lambda probs, base: fit(probs, base, max_iter=1))
+        pmfs = []
+
+        def capped_fit(probs, base):
+            pmfs.append((probs, base))
+            return fit(probs, base, max_iter=1)
+
+        monkeypatch.setattr(fd_features, "fit_benford_batch", capped_fit)
         assert cli.main(argv + ["--out", str(tmp_path / "b.csv")]) == 0
-        assert "624 of 624 fits hit the iteration cap" in capsys.readouterr().out
+        want = sum(np.count_nonzero(~fit(probs, base, max_iter=1)[2]) for probs, base in pmfs)
+        assert f"{want} of 624 fits hit the iteration cap" in capsys.readouterr().out
         for suffix in (".meta.txt", ".manifest.json", ".skips.csv"):
             a = Path(str(tmp_path / "a.csv") + suffix).read_bytes()
             assert a == Path(str(tmp_path / "b.csv") + suffix).read_bytes()
@@ -234,12 +241,21 @@ class TestSimulate:
             return out, result.capped_fits
 
         default, _ = run("default")
-        # with a one-iteration cap every fit is capped
+        # with a one-iteration cap, the count is that of the same pmfs' fits
+        # at that cap which report converged=False; run() fits them twice,
+        # through the command and through the sweep
         fit = fd_features.fit_benford_batch
-        monkeypatch.setattr(fd_features, "fit_benford_batch",
-                            lambda probs, base: fit(probs, base, max_iter=1))
+        pmfs = []
+
+        def capped_fit(probs, base):
+            pmfs.append((probs, base))
+            return fit(probs, base, max_iter=1)
+
+        monkeypatch.setattr(fd_features, "fit_benford_batch", capped_fit)
         capped_out, capped = run("capped")
-        assert capped == 4
+        assert len(pmfs) == 2 and np.array_equal(pmfs[0][0], pmfs[1][0])
+        probs, base = pmfs[1]
+        assert capped == np.count_nonzero(~fit(probs, base, max_iter=1)[2])
         manifests = [Path(str(out) + ".manifest.json").read_bytes()
                      for out in (default, capped_out)]
         assert manifests[0] == manifests[1]

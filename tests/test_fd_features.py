@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import lsq_linear
 
 from conftest import make_filtered_clip
 from fdspoof import asvspoof, fd_features as fd, segmentation
@@ -266,7 +267,7 @@ def four_point_fit(probs, base, max_iter=fd.FIT_MAX_ITER):
     """The lockstep Nelder-Mead fit that evaluates all four trial points of
     every active row on every iteration (reflection, expansion, outside and
     inside contraction) and then keeps the one the row's rule picks: the
-    oracle `fd.fit_benford_batch` must match bit for bit. Each row reports
+    oracle `fd._nelder_mead_batch` must match bit for bit. Each row reports
     the curve beta * g at its best vertex."""
     probs = np.ascontiguousarray(probs, dtype=np.float64)
     n_prob = probs.shape[0]
@@ -476,28 +477,30 @@ class TestFitBenford:
             assert alone[2][0] == together[2][i]
 
 
-class TestFitMatchesFourPointOracle:
-    """The fit evaluates each row's reflection, then only the one further
-    point the row's rule needs; its output is that of the four-point loop."""
+@pytest.fixture(scope="module")
+def clip_pmfs():
+    """Per base, the cell pmfs of full-view MFCCs of FIR-noise clips."""
+    config = fd.FdConfig()
+    pmfs = [[] for _ in config.bases]
+    for n_coeffs, seed in ((8, 31), (32, 32), (128, 33)):
+        buffer = peak_normalize(AudioBuffer(make_filtered_clip(n_coeffs, seed).samples,
+                                            16000, f"clip{seed}"))
+        matrix = mfcc(buffer, CepstralConfig())
+        for b, probs in enumerate(fd.cell_pmfs(matrix, config)):
+            pmfs[b].append(probs)
+    return {base: np.concatenate(p) for base, p in zip(config.bases, pmfs)}
 
-    @pytest.fixture(scope="class")
-    def clip_pmfs(self):
-        """Per base, the cell pmfs of full-view MFCCs of FIR-noise clips."""
-        config = fd.FdConfig()
-        pmfs = [[] for _ in config.bases]
-        for n_coeffs, seed in ((8, 31), (32, 32), (128, 33)):
-            buffer = peak_normalize(AudioBuffer(make_filtered_clip(n_coeffs, seed).samples,
-                                                16000, f"clip{seed}"))
-            matrix = mfcc(buffer, CepstralConfig())
-            for b, probs in enumerate(fd.cell_pmfs(matrix, config)):
-                pmfs[b].append(probs)
-        return {base: np.concatenate(p) for base, p in zip(config.bases, pmfs)}
+
+class TestFitMatchesFourPointOracle:
+    """The Nelder-Mead loop evaluates each row's reflection, then only the one
+    further point the row's rule needs; its output is that of the four-point
+    loop."""
 
     @pytest.mark.parametrize("base", [10, 20])
     @pytest.mark.parametrize("max_iter", [0, 1, 5, 2000])
     def test_clip_pmfs_batch(self, clip_pmfs, base, max_iter):
         probs = clip_pmfs[base]
-        assert_same_fit(fd.fit_benford_batch(probs, base, max_iter),
+        assert_same_fit(fd._nelder_mead_batch(probs, base, max_iter),
                         four_point_fit(probs, base, max_iter))
 
     @pytest.mark.parametrize("base", [10, 20])
@@ -505,7 +508,8 @@ class TestFitMatchesFourPointOracle:
         probs = clip_pmfs[base]
         for i in range(0, len(probs), 13):
             one_row = probs[i:i + 1]
-            assert_same_fit(fd.fit_benford_batch(one_row, base), four_point_fit(one_row, base))
+            assert_same_fit(fd._nelder_mead_batch(one_row, base, fd.FIT_MAX_ITER),
+                            four_point_fit(one_row, base))
 
     @pytest.mark.parametrize("base", [10, 20])
     def test_two_equal_digit_pmfs(self, base):
@@ -515,7 +519,8 @@ class TestFitMatchesFourPointOracle:
         probs = np.zeros((len(pairs), base - 1))
         for row, pair in enumerate(pairs):
             probs[row, list(pair)] = 0.5
-        assert_same_fit(fd.fit_benford_batch(probs, base), four_point_fit(probs, base))
+        assert_same_fit(fd._nelder_mead_batch(probs, base, fd.FIT_MAX_ITER),
+                        four_point_fit(probs, base))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.sampled_from([3, 10, 20]).flatmap(lambda base: st.tuples(
@@ -524,10 +529,166 @@ class TestFitMatchesFourPointOracle:
     def test_hypothesis_pmfs(self, case):
         base, rows, max_iter = case
         probs = np.vstack(rows)
-        assert_same_fit(fd.fit_benford_batch(probs, base, max_iter),
+        assert_same_fit(fd._nelder_mead_batch(probs, base, max_iter),
                         four_point_fit(probs, base, max_iter))
-        assert_same_fit(fd.fit_benford_batch(probs[:1], base, max_iter),
+        assert_same_fit(fd._nelder_mead_batch(probs[:1], base, max_iter),
                         four_point_fit(probs[:1], base, max_iter))
+
+
+def bounded_lsq_mse(columns, probs):
+    """mse of the least-squares fit of probs by a non-negative combination of
+    the non-zero (D,) columns."""
+    design = np.column_stack([c for c in columns if c.any()])
+    fit = lsq_linear(design, probs, bounds=(0.0, np.inf), method="bvls")
+    return np.mean((design @ fit.x - probs) ** 2)
+
+
+def step_oracle(probs):
+    """Least mse over every step, by brute force: for each transition digit k
+    a falling step (h on digits before k, t at k with 0 <= t <= h, zero
+    after), written as h = u + t with u, t >= 0, and for each end digit a
+    level t >= 0 there over a level h >= 0 on every other digit."""
+    digits = np.arange(probs.size)
+    candidates = []
+    for k in digits:
+        plateau = (digits < k).astype(float)
+        candidates.append([plateau, plateau + (digits == k)])
+    for end in (0, probs.size - 1):
+        at = (digits == end).astype(float)
+        candidates.append([1.0 - at, at])
+    return min(bounded_lsq_mse(c, probs) for c in candidates)
+
+
+def ramp_oracle(probs):
+    """Least mse over a * ln(min(d, c)) with a >= 0 and c >= 1, by brute
+    force: for c in [k, k+1] the ramp is a non-negative combination of the
+    rays at knees k and k+1."""
+    d = np.arange(1, probs.size + 1)
+    rays = [np.log(np.minimum(d, k)) for k in d]
+    return min(bounded_lsq_mse(rays[k:k + 2], probs) for k in range(probs.size))
+
+
+class TestLimitCurves:
+    """The fit also weighs the curves the family approaches without reaching
+    them, steps and log ramps, each in closed form."""
+
+    def test_match_bounded_least_squares_on_clip_pmfs(self, clip_pmfs):
+        for base, probs in clip_pmfs.items():
+            probs = probs[::3]
+            _, step = fd._step_batch(probs)
+            _, ramp = fd._ramp_batch(probs)
+            np.testing.assert_allclose(step, [step_oracle(p) for p in probs], rtol=1e-12)
+            np.testing.assert_allclose(ramp, [ramp_oracle(p) for p in probs], rtol=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([3, 10, 20]).flatmap(
+        lambda base: st.lists(pmf_rows(base), min_size=1, max_size=4)))
+    def test_match_bounded_least_squares(self, rows):
+        probs = np.vstack(rows)
+        for limit, oracle in ((fd._step_batch, step_oracle), (fd._ramp_batch, ramp_oracle)):
+            curves, residual = limit(probs)
+            # the residual is the mse of the reported curve, which is >= 0
+            assert residual.tobytes() == np.mean((probs - curves) ** 2, axis=1).tobytes()
+            assert np.all(curves >= 0.0)
+            np.testing.assert_allclose(residual, [oracle(p) for p in probs],
+                                       rtol=1e-12, atol=1e-30)
+
+    @pytest.mark.parametrize("base", [10, 20])
+    def test_limits_are_approached_by_the_family(self, base):
+        # a falling step with its transition at k = 4 and t = h/2, and a ramp
+        # with its knee at c = 4.5: the projected mse of the family at
+        # (gamma, delta_exp) = (k^delta, delta) and (c^-delta, -delta) falls
+        # towards 0 as delta grows
+        d = np.arange(1, base, dtype=float)
+        ln_digits = np.log(d)
+        step = np.where(d < 4, 1.0, np.where(d == 4, 0.5, 0.0))
+        ramp = np.log(np.minimum(d, 4.5))
+        for target, point in ((step, lambda s: (4.0 ** s, s)),
+                              (ramp, lambda s: (4.5 ** -s, -s))):
+            probs = target / target.sum()
+            mse = [fd._projected_batch(np.array([[point(s)]]), probs[None], ln_digits,
+                                       math.log(base))[0, 0] for s in (10.0, 40.0, 160.0)]
+            assert mse[0] > mse[1] > mse[2]
+            assert mse[2] < 1e-3 * np.mean(probs ** 2)
+            limit = min(fd._step_batch(probs[None])[1][0], fd._ramp_batch(probs[None])[1][0])
+            assert limit < 1e-30
+
+    @pytest.mark.parametrize("base", [3, 10, 20])
+    def test_closure_pmfs_fit_exactly(self, base):
+        # one-hot at the first or last digit, and any falling pmf on the first
+        # two digits, are steps: they end at residual 0 with finite divergences
+        n = base - 1
+        probs = np.zeros((4, n))
+        probs[0, 0] = probs[1, -1] = 1.0
+        probs[2, :2] = (0.6, 0.4)
+        probs[3, :2] = (0.5, 0.5)
+        curves, residual, converged = fd.fit_benford_batch(probs, base)
+        assert np.all(residual == 0.0) and converged.all()
+        divs, _ = fd.fitted_divergences(probs, base, 0.3, 1e-10)
+        assert np.isfinite(divs).all()
+        assert np.all(divs[:, 0] < 1e-12) and np.all(divs[:, 3] == 0.0)
+
+    @pytest.mark.parametrize("base", [10, 20])
+    def test_fit_is_no_worse_than_any_part(self, clip_pmfs, base):
+        probs = clip_pmfs[base]
+        _, residual, converged = fd.fit_benford_batch(probs, base)
+        _, nelder_mead, stopped = fd._nelder_mead_batch(probs, base, fd.FIT_MAX_ITER)
+        _, step = fd._step_batch(probs)
+        _, ramp = fd._ramp_batch(probs)
+        assert np.all(residual <= nelder_mead)
+        assert np.all(residual <= step) and np.all(residual <= ramp)
+        # a fit counts as converged where the search stopped on its own test
+        # or a limit curve is the one reported
+        limit = (residual == step) | (residual == ramp)
+        assert np.array_equal(converged, stopped | (limit & (residual < nelder_mead)))
+
+    @pytest.mark.parametrize("base", [10, 20])
+    def test_one_row_equals_batch_where_a_limit_wins(self, clip_pmfs, base):
+        probs = clip_pmfs[base]
+        curves, residual, converged = fd.fit_benford_batch(probs, base)
+        _, step = fd._step_batch(probs)
+        _, ramp = fd._ramp_batch(probs)
+        rows = np.nonzero((residual == step) | (residual == ramp))[0]
+        assert rows.size >= len(probs) // 5
+        for i in rows:
+            alone = fd.fit_benford_batch(probs[i:i + 1], base)
+            assert alone[0][0].tobytes() == curves[i].tobytes()
+            assert alone[1][0] == residual[i] and alone[2][0] == converged[i]
+
+    @pytest.mark.parametrize("base", [10, 20])
+    def test_few_cells_end_above_the_tight_reference(self, clip_pmfs, base, monkeypatch):
+        # the reference also runs the search with only a 1e-10 diameter stop
+        # and a 6000-iteration cap
+        probs = clip_pmfs[base]
+        _, residual, _ = fd.fit_benford_batch(probs, base)
+        monkeypatch.setattr(fd, "FIT_X_TOL", 1e-10)
+        monkeypatch.setattr(fd, "FIT_F_TOL", 0.0)
+        monkeypatch.setattr(fd, "FIT_F_TOL_ABS", 0.0)
+        tight = fd._nelder_mead_batch(probs, base, 6000)[1]
+        above = residual > 1.01 * np.minimum(residual, tight)
+        assert np.mean(above) <= 0.10, np.mean(above)
+
+    def test_loop_stops_at_the_cap(self, monkeypatch):
+        # the uniform row's objective falls without bound as gamma + delta_exp
+        # grows, so its search never stops on its own; the Benford row's does
+        probs = np.vstack([benford_probs(), np.full(9, 1.0 / 9.0)])
+        projected = fd._projected_batch
+        calls = []
+
+        def endless(shape, rows, ln_digits, ln_base):
+            mse = projected(shape, rows, ln_digits, ln_base)
+            uniform = rows[:, 0] == probs[1, 0]
+            calls.append(bool(uniform.any()))
+            return np.where(uniform[:, None], -shape[..., 0] - shape[..., 1], mse)
+
+        monkeypatch.setattr(fd, "_projected_batch", endless)
+        _, _, converged = fd.fit_benford_batch(probs, 10)
+        # one evaluation of the start simplexes, then at most three a pass
+        assert len(calls) <= 1 + 3 * fd.FIT_MAX_ITER
+        # the endless row takes its expansion on every pass: it ran exactly
+        # FIT_MAX_ITER passes, and the loop stopped with it
+        assert calls.count(True) == 1 + 2 * fd.FIT_MAX_ITER
+        assert converged.tolist() == [True, False]
 
 
 class TestDivergences:
