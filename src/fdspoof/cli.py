@@ -95,6 +95,15 @@ def _floats(text) -> tuple[float, ...]:
     return tuple(float(v) for v in str(text).split(","))
 
 
+def _seed(text: str) -> int:
+    """argparse type of the seed flags; a ValueError or a negative seed is a
+    usage error."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _parsed(name: str, parse, text):
     """`parse(text)`, with a ValueError turned into a SettingError naming `name`."""
     try:
@@ -122,9 +131,13 @@ _SETTINGS = {
 def resolve_settings(args: argparse.Namespace) -> dict:
     """flags > config file > defaults, returning plain python values.
 
-    SettingError if a flag or config-file value does not parse.
+    SettingError if a flag or config-file value does not parse, or if a
+    config-file key names no setting.
     """
     file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(file_values) - set(_SETTINGS))
+    if unknown:
+        raise SettingError(f"{args.config}: no setting named {unknown[0]!r}")
     resolved = {}
     for name, (parse, default) in _SETTINGS.items():
         flag = getattr(args, name, None)
@@ -305,7 +318,7 @@ def build_parser() -> _Parser:
     p.add_argument("--segment", required=True, choices=[k.value for k in SegmentKind])
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--balance-seed", type=int, default=None,
+    p.add_argument("--balance-seed", type=_seed, default=None,
                    help="class-balance the protocol with this seed before extraction")
     add_settings(p)
     p.set_defaults(func=cmd_extract)
@@ -317,7 +330,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid-report")
     p.add_argument("--n-trees", type=int, action="append")
     p.add_argument("--criterion", choices=CRITERIA, action="append")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="per-system one-vs-one evaluation report")
@@ -335,7 +348,7 @@ def build_parser() -> _Parser:
     p.add_argument("--train-voiced")
     p.add_argument("--dev-voiced")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("simulate", help="FIR length vs divergence sweep")
@@ -344,7 +357,7 @@ def build_parser() -> _Parser:
     p.add_argument("--frequencies", default="2,3")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--signal-len", type=int, default=2 ** 20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)

@@ -9,28 +9,29 @@ and emit four divergences between the empirical pmf and the fitted curve
 Records take one path: `cell_pmfs` builds a record's cell pmfs with one
 `digit_pmf` call per base, and `assemble_features_many` fits the pmfs of a
 batch of records with one `fit_benford_batch` call per base. The curve has one
-evaluator, `_shape_batch`, which computes d^delta as exp(delta * ln d); the
-fit and its projection use it. The fit reports each row's curve and that
-curve's residual, not the parameters; the divergences read the curve.
+evaluator, `_shape_batch`, which computes d^delta as exp(delta * ln d) and
+returns the shape with its derivatives. The fit reports each row's curve and
+that curve's residual, not the parameters; the divergences read the curve.
 `fit_benford(probs, base)`, which returns a `BenfordFit(curve, residual_mse,
 converged)`, and `divergences(probs, fit)` are single-pmf wrappers over the
 same batched code; no feature path calls them.
 
-The curve fit projects beta out (variable projection): beta enters the curve
-linearly, so at every (gamma, delta_exp) it takes its least-squares value
-<p,g>/<g,g>, where g is the curve's shape log_b(1 + 1/(gamma + d^delta)).
-A Nelder-Mead simplex then searches the two remaining parameters, starting at
-the Benford point (gamma, delta_exp) = (0, 1). A search stops when the simplex
-diameter is at most 1e-6 or the spread of its three values is at most
-1e-6 * f_best + 1e-12, and it is capped at 300 iterations. Points that violate
-gamma + d^delta > 0 evaluate to +inf and are therefore never accepted. The
-search runs many cells in lockstep as one vectorized batch; per-problem
-arithmetic is row-independent, so batch composition cannot change any result.
-Each iteration evaluates every row's reflection, then makes one batched
-evaluation of the single further point that each row's rule needs (expansion,
-outside or inside contraction); a row that takes its reflection needs none,
-and only a rejected contraction evaluates the two shrunk vertices. The rules
-are the standard ones (Nelder & Mead 1965; Lagarias et al. 1998).
+The curve fit projects beta out (variable projection, Golub & Pereyra 1973):
+beta enters the curve linearly, so at every point it takes its least-squares
+value <p,g>/<g,g>, where g is the curve's shape log_b(1 + 1/(gamma + d^delta)).
+The two remaining parameters are searched as (s, delta), with
+gamma = e^s - min_d d^delta: then gamma + d^delta = e^s + d^delta - min_d d^delta
+is > 0 at every point, so no point is infeasible, and the start (0, 1) is the
+Benford point gamma = 0. Each step is a Levenberg-Marquardt step on the exact
+Jacobian of the projected residual (Levenberg 1944; Marquardt 1963): one damped
+2x2 solve per row, taken only where it strictly lowers the sum of squares. The
+damping starts at 1e-3 and is divided by 3 after a taken step and multiplied
+by 4 after a refused one. A row stops after a taken step that lowers its sum
+of squares by at most 1e-8 of it plus 1e-30 * <p,p>, or after a refused step
+at damping >= 1e12, and it is capped at 60 steps. The search runs many cells
+in lockstep as one vectorized batch, which a row leaves when it stops;
+per-problem arithmetic is row-independent, so batch composition cannot change
+any result.
 
 Many pmfs have no finite optimum: their residual falls as the parameters run
 off to infinity, towards a curve the family approaches but never reaches.
@@ -56,11 +57,8 @@ from .exceptions import InsufficientDigits, SettingError
 
 DIVERGENCE_NAMES = ("js", "renyi", "tsallis", "mse")
 
-FIT_START = (0.0, 1.0)  # (gamma, delta_exp) of the Benford curve; beta is projected
-FIT_MAX_ITER = 300
-FIT_X_TOL = 1e-6  # stop once the simplex diameter is this small ...
-FIT_F_TOL = 1e-6  # ... or its f-spread is at most FIT_F_TOL * f_best + FIT_F_TOL_ABS
-FIT_F_TOL_ABS = 1e-12
+FIT_START = (0.0, 1.0)  # (s, delta) of the Benford curve; beta is projected
+FIT_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -167,24 +165,28 @@ def digit_pmf(columns, deltas, base: int, min_digits: int) -> np.ndarray:
 # generalized Benford curve and its fit
 # ---------------------------------------------------------------------------
 
-def _shape_batch(shape: np.ndarray, ln_digits: np.ndarray, ln_base: float) -> np.ndarray:
-    """log_b(1 + 1/(gamma + d^delta)) for (..., 2) points (gamma, delta_exp),
-    with d^delta = exp(delta * ln d); (..., D), nan where gamma + d^delta <= 0."""
+def _shape_batch(points: np.ndarray, ln_digits: np.ndarray,
+                 ln_base: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shape g = log_b(1 + 1/x) at (B, 2) points (s, delta), with
+    x_d = e^s + d^delta - min_d d^delta and d^delta = exp(delta * ln d), and
+    its (B, 2, D) derivatives in s and delta. x > 0 wherever e^s > 0."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        t = shape[..., 1:2] * ln_digits
-        np.exp(t, out=t)
-        t += shape[..., 0:1]
-        g = np.reciprocal(t)
-        np.log1p(g, out=g)
+        power = np.exp(points[:, 1:] * ln_digits)
+        # 1^delta is exactly 1, so the least power is at d = D where it is below 1
+        least = np.where(power[:, -1:] < 1.0, power[:, -1:], 1.0)
+        scale = np.exp(points[:, :1])
+        x = power - least
+        x += scale
+        g = np.log1p(np.reciprocal(x))
         g /= ln_base
-    return np.where(t > 0.0, g, np.nan)
-
-
-def _scale_batch(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """beta = <p,g>/<g,g> over the last axis, the least-squares scale of shapes g."""
-    beta = np.add.reduce(p * g, -1)
-    beta /= np.add.reduce(g * g, -1)
-    return beta
+        dg_dx = x + 1.0
+        dg_dx *= x
+        dg_dx *= -ln_base
+        np.reciprocal(dg_dx, out=dg_dx)
+        dx_ddelta = power * ln_digits
+        dx_ddelta -= np.where(least < 1.0, least * ln_digits[-1], 0.0)
+        dg = np.stack([dg_dx * scale, dg_dx * dx_ddelta], axis=1)
+    return g, dg
 
 
 def _mse_batch(curves: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -197,36 +199,29 @@ def _mse_batch(curves: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return mse
 
 
-def _projected_batch(shape: np.ndarray, probs: np.ndarray, ln_digits: np.ndarray,
-                     ln_base: float) -> np.ndarray:
-    """(B, K) mse of beta*g - p for (B, K, 2) shape points against (B, D)
-    pmfs, with g the shape and beta its least-squares scale; +inf where it is
-    not finite (which includes every point with gamma + d^delta <= 0 at some
-    digit)."""
-    g = _shape_batch(shape, ln_digits, ln_base)
-    p = probs[:, None, :]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mse = _mse_batch(_scale_batch(p, g)[..., None] * g, p)
-    # fmin(nan, inf) is inf, and mse is never -inf
-    return np.fmin(mse, np.inf, out=mse)
-
-
-# Nelder-Mead shrink coefficient; the loop spells out the trial-point ones
-_SHRINK = 0.5
+def _projection_batch(probs: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(beta, r = beta g - p, sum of squares of r) of (B, D) shapes g against
+    (B, D) pmfs, with beta = <p,g>/<g,g> the least-squares scale of each shape."""
+    beta = np.add.reduce(probs * g, -1)
+    beta /= np.add.reduce(g * g, -1)
+    r = beta[:, None] * g
+    r -= probs
+    return beta, r, np.add.reduce(r * r, -1)
 
 
 def fit_benford_batch(probs: np.ndarray, base: int,
                       max_iter: int = FIT_MAX_ITER) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fit of each row of a (B, base-1) pmf matrix on the closure of the curve
-    family: the capped Nelder-Mead's curve, replaced by the row's best step,
-    then by its best log ramp, wherever that has the strictly lower residual.
+    family: the capped Levenberg-Marquardt search's curve, replaced by the
+    row's best step, then by its best log ramp, wherever that has the strictly
+    lower residual.
 
     Returns (curves (B, base-1), residual (B,), converged (B,)): each row's
-    reported curve and its mse, and converged=False where the Nelder-Mead hit
-    the iteration cap and its curve is the one reported.
+    reported curve and its mse, and converged=False where the search hit the
+    iteration cap and its curve is the one reported.
     """
     probs = np.ascontiguousarray(probs, dtype=np.float64)
-    curves, residual, converged = _nelder_mead_batch(probs, base, max_iter)
+    curves, residual, converged = _lm_batch(probs, base, max_iter)
     for limit_curves, limit_residual in (_step_batch(probs), _ramp_batch(probs)):
         lower = limit_residual < residual
         curves[lower] = limit_curves[lower]
@@ -235,108 +230,69 @@ def fit_benford_batch(probs: np.ndarray, base: int,
     return curves, residual, converged
 
 
-def _nelder_mead_batch(probs: np.ndarray, base: int,
-                       max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nelder-Mead fit of each row of a C-contiguous float64 (B, base-1) pmf
-    matrix.
+def _lm_batch(probs: np.ndarray, base: int,
+              max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Levenberg-Marquardt fit of each row of a C-contiguous float64
+    (B, base-1) pmf matrix over (s, delta), with beta projected out.
 
-    The simplex moves in (gamma, delta_exp) only; beta is projected out in
-    closed form at every point. Returns (curves (B, base-1), residual (B,),
-    converged (B,)): each row's curve beta * g at its best vertex and that
-    curve's mse, and converged=False where the row hit the iteration cap.
+    Returns (curves (B, base-1), residual (B,), converged (B,)): each row's
+    curve beta * g at its last accepted point and that curve's mse, and
+    converged=False where the row hit the iteration cap.
     """
     n_prob = probs.shape[0]
     ln_digits = np.log(np.arange(1, base, dtype=np.float64))
     ln_base = math.log(base)
-
-    x0 = np.array(FIT_START)
-    # scipy-style initial simplex: 5% step per coordinate, 0.00025 where zero
-    sim0 = np.tile(x0, (3, 1))
-    for i in range(2):
-        sim0[i + 1, i] = x0[i] * 1.05 if x0[i] != 0.0 else 0.00025
-    sim = np.tile(sim0, (n_prob, 1, 1))
-    fv = _projected_batch(sim, probs, ln_digits, ln_base)
-
-    curves = np.empty((n_prob, base - 1))
-    residual = np.empty(n_prob)
+    point = np.tile(FIT_START, (n_prob, 1))
+    g, dg = _shape_batch(point, ln_digits, ln_base)
+    rows = probs
+    beta, r, sse = _projection_batch(rows, g)
+    damping = np.full(n_prob, 1e-3)
+    sse_floor = 1e-30 * np.add.reduce(rows * rows, -1)
+    curves = np.empty_like(probs)
     converged = np.zeros(n_prob, dtype=bool)
-    # sim, fv and probs hold the active problems only, row-aligned with `active`;
-    # `first` holds each active row's flat offset 3 * row, once per vertex
     active = np.arange(n_prob)
-    first = np.repeat(3 * active, 3).reshape(-1, 3)
 
-    for iteration in range(max_iter + 1):
-        # order each simplex best to worst: one stable argsort, one flat gather
-        order = fv.argsort(axis=1, kind="stable")
-        order += first
-        fv = fv.take(order)
-        sim = sim.reshape(-1, 2).take(order, axis=0)
-
-        edge = sim[:, 1:] - sim[:, :1]
-        diam = np.maximum.reduce(np.abs(edge, out=edge).reshape(-1, 4), 1)
-        f_tol = FIT_F_TOL * fv[:, 0]
-        f_tol += FIT_F_TOL_ABS
-        done = fv[:, 2] - fv[:, 0] <= f_tol
-        done |= diam <= FIT_X_TOL
-        if iteration == max_iter or np.count_nonzero(done):
-            finished = done if iteration < max_iter else np.ones(active.size, dtype=bool)
-            idx = active[finished]
-            # a best vertex has a finite mse, so its shape and beta are finite
-            g = _shape_batch(sim[finished, 0], ln_digits, ln_base)
-            curves[idx] = _scale_batch(probs[finished], g)[:, None] * g
-            residual[idx] = fv[finished, 0]
-            converged[idx] = done[finished]
-            keep = ~finished
-            sim, fv, probs, active = sim[keep], fv[keep], probs[keep], active[keep]
-            first = first[:active.size]
+    for _ in range(max_iter):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # the Jacobian of r, beta's dependence included:
+            # J_k = beta dg_k + c_k g with c_k = (<dg_k, -r> - beta <g, dg_k>) / <g,g>
+            c = np.add.reduce(dg * r[:, None], -1)
+            c += beta[:, None] * np.add.reduce(dg * g[:, None], -1)
+            c /= -np.add.reduce(g * g, -1)[:, None]
+            jac = beta[:, None, None] * dg
+            jac += c[..., None] * g[:, None]
+            a_ss = np.add.reduce(jac[:, 0] * jac[:, 0], -1)
+            a_sd = np.add.reduce(jac[:, 0] * jac[:, 1], -1)
+            a_dd = np.add.reduce(jac[:, 1] * jac[:, 1], -1)
+            grad = np.add.reduce(jac * r[:, None], -1)
+            # damped normal equations (A + damping diag(A)) step = -grad, in closed form
+            a_ss *= 1.0 + damping
+            a_dd *= 1.0 + damping
+            det = a_ss * a_dd - a_sd * a_sd
+            step = np.stack([a_sd * grad[:, 1] - a_dd * grad[:, 0],
+                             a_sd * grad[:, 0] - a_ss * grad[:, 1]], axis=1)
+            step /= det[:, None]
+            trial = point + step
+            trial_g, trial_dg = _shape_batch(trial, ln_digits, ln_base)
+            trial_beta, trial_r, trial_sse = _projection_batch(rows, trial_g)
+        # a step is taken only where it lowers the sum of squares; nan never does
+        accept = trial_sse < sse
+        done = np.where(accept, sse - trial_sse <= 1e-8 * sse + sse_floor, damping >= 1e12)
+        point[accept], g[accept], dg[accept] = trial[accept], trial_g[accept], trial_dg[accept]
+        beta[accept], r[accept] = trial_beta[accept], trial_r[accept]
+        sse[accept] = trial_sse[accept]
+        damping = np.where(accept, damping / 3.0, damping * 4.0)
+        if np.count_nonzero(done):
+            idx = active[done]
+            curves[idx] = beta[done, None] * g[done]
+            converged[idx] = True
+            stay = ~done
+            point, g, dg, beta, r, sse, damping, rows, sse_floor, active = (
+                a[stay] for a in (point, g, dg, beta, r, sse, damping, rows, sse_floor, active))
             if active.size == 0:
                 break
-
-        # every row evaluates its reflection centroid + (centroid - worst)
-        centroid = sim[:, :1] + sim[:, 1:2]
-        centroid /= 2
-        step = centroid - sim[:, 2:]
-        trial = centroid + step
-        fr = _projected_batch(trial, probs, ln_digits, ln_base)[:, 0]
-        # the reflection picks each row's rule: expand if it beats the best
-        # vertex, take it if it beats the second-worst, else contract, outside
-        # if it beats the worst vertex and inside otherwise
-        f_best, f_second, f_worst = fv[:, 0], fv[:, 1], fv[:, 2]
-        expand = fr < f_best
-        contract = fr >= f_second
-        inside = fr >= f_worst
-        rows = (expand | contract).nonzero()[0]
-        if rows.size:
-            # one batched evaluation of the one further point each of these
-            # rows needs: expansion (2), outside (0.5) or inside contraction (-0.5)
-            point = np.where(expand, 2.0, np.where(inside, -0.5, 0.5))[:, None, None] * step
-            point += centroid
-            f2 = np.full_like(fr, np.inf)
-            f2[rows] = _projected_batch(point.take(rows, 0), probs.take(rows, 0),
-                                        ln_digits, ln_base)[:, 0]
-            # accept an expansion that beats the reflection (else keep the
-            # reflection), an outside contraction no worse than the reflection,
-            # an inside one better than the worst vertex; a row that takes its
-            # reflection keeps f2 = inf and accepts nothing
-            accept = np.where(inside, f2 < f_worst, np.where(expand, f2 < fr, f2 <= fr))
-            np.copyto(trial, point, where=accept[:, None, None])
-            np.copyto(fr, f2, where=accept)
-            contract &= ~accept
-        # the new point replaces the worst vertex, except where a rejected
-        # contraction shrinks the simplex towards its best vertex instead
-        np.copyto(sim[:, 2:], trial, where=~contract[:, None, None])
-        np.copyto(fv[:, 2], fr, where=~contract)
-        shrink = contract.nonzero()[0]
-        if shrink.size:
-            shrunk = sim.take(shrink, 0)
-            shrunk[:, 1:] -= shrunk[:, :1]
-            shrunk[:, 1:] *= _SHRINK
-            shrunk[:, 1:] += shrunk[:, :1]
-            sim[shrink] = shrunk
-            fv[shrink, 1:] = _projected_batch(shrunk[:, 1:], probs.take(shrink, 0),
-                                              ln_digits, ln_base)
-
-    return curves, residual, converged
+    curves[active] = beta[:, None] * g
+    return curves, _mse_batch(curves, probs), converged
 
 
 def _step_batch(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

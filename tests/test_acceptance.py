@@ -60,9 +60,10 @@ def test_criterion_1_first_digit_oracle_equivalence():
 
 def classic_curve(base):
     """The classic Benford curve, (beta, gamma, delta) = (1, 0, 1), from the
-    package's evaluator; beta = 1 scales the shape exactly."""
-    return fd._shape_batch(np.array([0.0, 1.0]),
-                           np.log(np.arange(1, base, dtype=float)), math.log(base))
+    package's evaluator at its (s, delta) = (0, 1); beta = 1 scales the shape
+    exactly."""
+    return fd._shape_batch(np.array([[0.0, 1.0]]),
+                           np.log(np.arange(1, base, dtype=float)), math.log(base))[0][0]
 
 
 def test_criterion_2_benford_identities():

@@ -351,6 +351,12 @@ class TestRejectedInput:
         (["extract", "--deltas", "1,1e-320"], None, "quantization step 1e-320 is too small"),
         (["simulate", "--deltas", "1e-320", "--signal-len", "4096", "--trials", "1",
           "--nc-list", "8", "--frequencies", "2"], None, "quantization step 1e-320 is too small"),
+        (["extract", "--balance-seed", "-1"], None, "argument --balance-seed: must be >= 0"),
+        (["train", "--seed", "-1"], None, "argument --seed: must be >= 0"),
+        (["ablate", "--seed", "-1"], None, "argument --seed: must be >= 0"),
+        (["simulate", "--seed", "-1"], None, "argument --seed: must be >= 0"),
+        (["simulate", "--nc-list", "8,8"], None, "FIR lengths and frequencies must not repeat"),
+        (["simulate", "--frequencies", "5,5"], None, "FIR lengths and frequencies must not repeat"),
     ])
     def test_rejected_setting_is_usage_error(self, extracted, cli_corpus, tmp_path, capsys,
                                              argv, config, message):
@@ -361,6 +367,7 @@ class TestRejectedInput:
                         "--segment", "full", "--out", str(tmp_path / "f.csv")],
             "train": ["--train-features", str(features), "--dev-features", str(features),
                       "--model-out", str(tmp_path / "m.json")],
+            "ablate": ["--out", str(tmp_path / "a.csv")],
             "simulate": ["--out", str(tmp_path / "s.csv")],
             "segment-report": ["--audio", str(next(audio_dir.glob("*.wav"))),
                                "--out", str(tmp_path / "r.csv")],
@@ -368,8 +375,24 @@ class TestRejectedInput:
         if config is not None:
             (tmp_path / "conf.txt").write_text(config)
             required += ["--config", str(tmp_path / "conf.txt")]
-        assert cli.main(argv + required) == 64
+        try:
+            code = cli.main(argv + required)
+        except SystemExit as exc:  # a flag that argparse's type rejects
+            code = exc.code
+        assert code == 64
         assert message in capsys.readouterr().err
+
+    def test_unknown_config_key_is_usage_error(self, cli_corpus, tmp_path, capsys):
+        # a misspelt key would otherwise leave its setting at the default
+        _, protocol, audio_dir = cli_corpus
+        conf = tmp_path / "conf.txt"
+        conf.write_text("hop=512\nalhpa=0.5\n")
+        code = cli.main(["extract", "--protocol", str(protocol), "--audio-root", str(audio_dir),
+                         "--segment", "full", "--out", str(tmp_path / "f.csv"),
+                         "--config", str(conf)])
+        assert code == 64
+        assert f"{conf}: no setting named 'alhpa'" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
 
     def test_undecodable_config_file_exits_2(self, cli_corpus, tmp_path, capsys):
         _, protocol, audio_dir = cli_corpus

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import lsq_linear
+from scipy.optimize import least_squares, lsq_linear
 
 from conftest import make_filtered_clip
 from fdspoof import asvspoof, fd_features as fd, segmentation
@@ -50,9 +50,18 @@ def benford_probs(base=10, beta=1.0, gamma=0.0, delta=1.0):
 
 
 def curve(base, beta, gamma, delta):
-    """The package's curve at d = 1..base-1, from the evaluator the fit uses."""
-    ln_digits = np.log(np.arange(1, base, dtype=float))
-    return beta * fd._shape_batch(np.array([gamma, delta]), ln_digits, math.log(base))
+    """The package's curve at d = 1..base-1, from the evaluator the fit uses,
+    at the fit's coordinates (s, delta) with s = ln(gamma + min_d d^delta)."""
+    d = np.arange(1, base, dtype=float)
+    point = np.array([[math.log(gamma + np.min(d ** delta)), delta]])
+    return beta * fd._shape_batch(point, np.log(d), math.log(base))[0][0]
+
+
+def projected_mse(points, probs, base):
+    """mse of beta * g - p at (K, 2) points (s, delta) against one pmf, with
+    beta the least-squares scale of the shape g there."""
+    g, _ = fd._shape_batch(points, np.log(np.arange(1, base, dtype=float)), math.log(base))
+    return fd._projection_batch(np.tile(probs, (len(points), 1)), g)[2] / probs.size
 
 
 def first_digit(x, base):
@@ -245,8 +254,8 @@ class TestCellPmfs:
 
 
 def four_point_shape(shape, ln_digits, ln_base):
-    """The curve's shape at (..., 2) points, written out: the oracle of
-    `fd._shape_batch`."""
+    """The curve's shape at (..., 2) points (gamma, delta), written out; nan
+    where gamma + d^delta <= 0."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         t = shape[..., 0:1] + np.exp(shape[..., 1:2] * ln_digits)
         return np.where(t > 0.0, np.log1p(1.0 / t) / ln_base, np.nan)
@@ -254,7 +263,7 @@ def four_point_shape(shape, ln_digits, ln_base):
 
 def four_point_projected(shape, probs, ln_digits, ln_base):
     """(beta, mse) of (B, K, 2) shape points, with the curve written out with
-    np.sum and np.mean: the oracle of `fd._projected_batch`."""
+    np.sum and np.mean; +inf where the mse is not finite."""
     g = four_point_shape(shape, ln_digits, ln_base)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         p = probs[:, None, :]
@@ -263,19 +272,22 @@ def four_point_projected(shape, probs, ln_digits, ln_base):
     return beta, np.where(np.isfinite(mse), mse, np.inf)
 
 
-def four_point_fit(probs, base, max_iter=fd.FIT_MAX_ITER):
-    """The lockstep Nelder-Mead fit that evaluates all four trial points of
-    every active row on every iteration (reflection, expansion, outside and
-    inside contraction) and then keeps the one the row's rule picks: the
-    oracle `fd._nelder_mead_batch` must match bit for bit. Each row reports
-    the curve beta * g at its best vertex."""
+def four_point_fit(probs, base, max_iter, x_tol, f_tol, f_tol_abs):
+    """A lockstep Nelder-Mead fit over (gamma, delta) from the Benford point
+    (0, 1), beta projected out, that evaluates all four trial points of every
+    active row on every iteration (reflection, expansion, outside and inside
+    contraction) and then keeps the one the row's rule picks (Nelder & Mead
+    1965; Lagarias et al. 1998); infeasible points evaluate to +inf. A row
+    stops when its simplex diameter is at most x_tol or its f-spread at most
+    f_tol * f_best + f_tol_abs, or after max_iter iterations, and reports the
+    curve beta * g at its best vertex: the tight reference of the fit."""
     probs = np.ascontiguousarray(probs, dtype=np.float64)
     n_prob = probs.shape[0]
     ln_digits = np.log(np.arange(1, base, dtype=np.float64))
     ln_base = math.log(base)
     steps = np.array([1.0, 2.0, 0.5, -0.5])
 
-    x0 = np.array(fd.FIT_START)
+    x0 = np.array([0.0, 1.0])
     sim0 = np.tile(x0, (3, 1))
     for i in range(2):
         sim0[i + 1, i] = x0[i] * 1.05 if x0[i] != 0.0 else 0.00025
@@ -294,7 +306,7 @@ def four_point_fit(probs, base, max_iter=fd.FIT_MAX_ITER):
 
         diam = np.max(np.abs(sim[:, 1:, :] - sim[:, :1, :]), axis=(1, 2))
         spread = fv[:, 2] - fv[:, 0]
-        done = (diam <= fd.FIT_X_TOL) | (spread <= fd.FIT_F_TOL * fv[:, 0] + fd.FIT_F_TOL_ABS)
+        done = (diam <= x_tol) | (spread <= f_tol * fv[:, 0] + f_tol_abs)
         finished = done if iteration < max_iter else np.ones(active.size, dtype=bool)
         if finished.any():
             idx = active[finished]
@@ -326,16 +338,10 @@ def four_point_fit(probs, base, max_iter=fd.FIT_MAX_ITER):
         fv[:, 2] = np.where(shrink, f_worst, ft[rows, pick])
         if shrink.any():
             s = np.nonzero(shrink)[0]
-            sim[s, 1:, :] = sim[s, :1, :] + fd._SHRINK * (sim[s, 1:, :] - sim[s, :1, :])
+            sim[s, 1:, :] = sim[s, :1, :] + 0.5 * (sim[s, 1:, :] - sim[s, :1, :])
             fv[s, 1:] = four_point_projected(sim[s, 1:, :], probs[s], ln_digits, ln_base)[1]
 
     return curves, residual, converged
-
-
-def assert_same_fit(got, want):
-    for name, a, b in zip(("curves", "residual", "converged"), got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        assert a.tobytes() == b.tobytes(), name
 
 
 @st.composite
@@ -377,14 +383,17 @@ class TestBenfordIdeal:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_domain_error(self):
-        # gamma + d^delta <= 0 at d = 1 and 2 only: nan shape, infinite mse
+        # gamma + d^delta <= 0 has no point in (s, delta): there
+        # gamma + d^delta = e^s + d^delta - min_d d^delta, which is > 0, so
+        # the shape and its derivatives are finite, and the shape > 0, from
+        # gamma = -min_d d^delta + 1e-300 to gamma = 1e300, at any delta
         ln_digits = np.log(np.arange(1, 10, dtype=float))
-        shape = fd._shape_batch(np.array([-2.5, 1.0]), ln_digits, math.log(10))
-        assert np.isnan(shape[:2]).all() and np.isfinite(shape[2:]).all()
-        probs = benford_probs()[None, :]
-        mse = fd._projected_batch(np.array([[[-2.5, 1.0], [0.0, 1.0]]]), probs,
-                                  ln_digits, math.log(10))
-        assert mse[0, 0] == np.inf and mse[0, 1] < 1e-20
+        points = np.array([(s, delta) for s in (-690.0, -40.0, 0.0, 40.0, 690.0)
+                           for delta in (-60.0, -1.0, 0.0, 1.0, 60.0)])
+        g, dg = fd._shape_batch(points, ln_digits, math.log(10))
+        assert np.all(np.isfinite(g) & (g > 0.0)) and np.isfinite(dg).all()
+        # the start (0, 1) is the Benford point gamma = 0
+        assert projected_mse(np.array([fd.FIT_START]), benford_probs(), 10)[0] < 1e-20
 
     @pytest.mark.parametrize("base", [3, 10, 20])
     def test_evaluator_matches_power_oracle(self, base):
@@ -398,6 +407,19 @@ class TestBenfordIdeal:
                     got = curve(base, beta, gamma, delta)
                     want = benford_probs(base, beta, gamma, delta)
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("base", [3, 10, 20])
+    def test_derivatives_match_central_differences(self, base):
+        ln_digits = np.log(np.arange(1, base, dtype=float))
+        points = np.array([(s, delta) for s in (-3.0, 0.0, 2.0)
+                           for delta in (-2.0, -0.5, 0.5, 1.0, 3.0)])
+        _, dg = fd._shape_batch(points, ln_digits, math.log(base))
+        for k in range(2):
+            h = np.zeros(2)
+            h[k] = 1e-6
+            ahead = fd._shape_batch(points + h, ln_digits, math.log(base))[0]
+            behind = fd._shape_batch(points - h, ln_digits, math.log(base))[0]
+            np.testing.assert_allclose(dg[:, k], (ahead - behind) / 2e-6, rtol=1e-6, atol=1e-9)
 
 
 class TestFitBenford:
@@ -491,56 +513,29 @@ def clip_pmfs():
     return {base: np.concatenate(p) for base, p in zip(config.bases, pmfs)}
 
 
-class TestFitMatchesFourPointOracle:
-    """The Nelder-Mead loop evaluates each row's reflection, then only the one
-    further point the row's rule needs; its output is that of the four-point
-    loop."""
-
-    @pytest.mark.parametrize("base", [10, 20])
-    @pytest.mark.parametrize("max_iter", [0, 1, 5, 2000])
-    def test_clip_pmfs_batch(self, clip_pmfs, base, max_iter):
-        probs = clip_pmfs[base]
-        assert_same_fit(fd._nelder_mead_batch(probs, base, max_iter),
-                        four_point_fit(probs, base, max_iter))
-
-    @pytest.mark.parametrize("base", [10, 20])
-    def test_clip_pmfs_one_row_at_a_time(self, clip_pmfs, base):
-        probs = clip_pmfs[base]
-        for i in range(0, len(probs), 13):
-            one_row = probs[i:i + 1]
-            assert_same_fit(fd._nelder_mead_batch(one_row, base, fd.FIT_MAX_ITER),
-                            four_point_fit(one_row, base))
-
-    @pytest.mark.parametrize("base", [10, 20])
-    def test_two_equal_digit_pmfs(self, base):
-        # some of these fits meet exact ties between a trial value and a
-        # vertex value, where each rule's strict or non-strict test decides
-        pairs = [(i, j) for i in range(base - 1) for j in range(i + 1, base - 1)]
-        probs = np.zeros((len(pairs), base - 1))
-        for row, pair in enumerate(pairs):
-            probs[row, list(pair)] = 0.5
-        assert_same_fit(fd._nelder_mead_batch(probs, base, fd.FIT_MAX_ITER),
-                        four_point_fit(probs, base))
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(st.sampled_from([3, 10, 20]).flatmap(lambda base: st.tuples(
-        st.just(base), st.lists(pmf_rows(base), min_size=1, max_size=5),
-        st.sampled_from([0, 1, 5, 2000]))))
-    def test_hypothesis_pmfs(self, case):
-        base, rows, max_iter = case
-        probs = np.vstack(rows)
-        assert_same_fit(fd._nelder_mead_batch(probs, base, max_iter),
-                        four_point_fit(probs, base, max_iter))
-        assert_same_fit(fd._nelder_mead_batch(probs[:1], base, max_iter),
-                        four_point_fit(probs[:1], base, max_iter))
-
-
 def bounded_lsq_mse(columns, probs):
     """mse of the least-squares fit of probs by a non-negative combination of
     the non-zero (D,) columns."""
     design = np.column_stack([c for c in columns if c.any()])
     fit = lsq_linear(design, probs, bounds=(0.0, np.inf), method="bvls")
     return np.mean((design @ fit.x - probs) ** 2)
+
+
+def least_squares_mse(probs, base):
+    """mse of MINPACK's Levenberg-Marquardt fit (scipy) of all three
+    parameters, beta * log_b(1 + 1/(e^s + d^delta - min_d d^delta)) with
+    d ** delta, from the Benford point (1, 0, 1) with tight tolerances."""
+    d = np.arange(1, base, dtype=float)
+
+    def residual(x):
+        beta, s, delta = x
+        power = d ** delta
+        return beta * np.log1p(1.0 / (np.exp(s) + power - power.min())) / math.log(base) - probs
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        fit = least_squares(residual, (1.0, 0.0, 1.0), method="lm", xtol=1e-15, ftol=1e-15,
+                            gtol=1e-15, max_nfev=20000)
+    return np.mean(fit.fun ** 2)
 
 
 def step_oracle(probs):
@@ -597,17 +592,16 @@ class TestLimitCurves:
     def test_limits_are_approached_by_the_family(self, base):
         # a falling step with its transition at k = 4 and t = h/2, and a ramp
         # with its knee at c = 4.5: the projected mse of the family at
-        # (gamma, delta_exp) = (k^delta, delta) and (c^-delta, -delta) falls
-        # towards 0 as delta grows
+        # (gamma, delta) = (k^a, a) and (c^-a, -a) falls towards 0 as a grows;
+        # in (s, delta) these are s = ln(k^a + 1) and s = ln(c^-a + D^-a)
         d = np.arange(1, base, dtype=float)
-        ln_digits = np.log(d)
         step = np.where(d < 4, 1.0, np.where(d == 4, 0.5, 0.0))
         ramp = np.log(np.minimum(d, 4.5))
-        for target, point in ((step, lambda s: (4.0 ** s, s)),
-                              (ramp, lambda s: (4.5 ** -s, -s))):
+        for target, point in ((step, lambda a: (np.logaddexp(a * math.log(4.0), 0.0), a)),
+                              (ramp, lambda a: (np.logaddexp(-a * math.log(4.5),
+                                                             -a * math.log(base - 1)), -a))):
             probs = target / target.sum()
-            mse = [fd._projected_batch(np.array([[point(s)]]), probs[None], ln_digits,
-                                       math.log(base))[0, 0] for s in (10.0, 40.0, 160.0)]
+            mse = projected_mse(np.array([point(a) for a in (10.0, 40.0, 160.0)]), probs, base)
             assert mse[0] > mse[1] > mse[2]
             assert mse[2] < 1e-3 * np.mean(probs ** 2)
             limit = min(fd._step_batch(probs[None])[1][0], fd._ramp_batch(probs[None])[1][0])
@@ -632,15 +626,27 @@ class TestLimitCurves:
     def test_fit_is_no_worse_than_any_part(self, clip_pmfs, base):
         probs = clip_pmfs[base]
         _, residual, converged = fd.fit_benford_batch(probs, base)
-        _, nelder_mead, stopped = fd._nelder_mead_batch(probs, base, fd.FIT_MAX_ITER)
+        _, search, stopped = fd._lm_batch(probs, base, fd.FIT_MAX_ITER)
         _, step = fd._step_batch(probs)
         _, ramp = fd._ramp_batch(probs)
-        assert np.all(residual <= nelder_mead)
+        assert np.all(residual <= search)
         assert np.all(residual <= step) and np.all(residual <= ramp)
         # a fit counts as converged where the search stopped on its own test
         # or a limit curve is the one reported
         limit = (residual == step) | (residual == ramp)
-        assert np.array_equal(converged, stopped | (limit & (residual < nelder_mead)))
+        assert np.array_equal(converged, stopped | (limit & (residual < search)))
+
+    @pytest.mark.parametrize("base", [10, 20])
+    def test_interior_cells_match_scipy_least_squares(self, clip_pmfs, base):
+        # on a sample of the cells where no limit wins, the fit ends within 1%
+        # of an independent three-parameter least-squares fit
+        probs = clip_pmfs[base]
+        _, residual, _ = fd.fit_benford_batch(probs, base)
+        limit = np.minimum(fd._step_batch(probs)[1], fd._ramp_batch(probs)[1])
+        interior = np.nonzero(residual < limit)[0]
+        assert interior.size >= len(probs) // 5
+        for i in interior[::3]:
+            assert residual[i] <= 1.01 * least_squares_mse(probs[i], base), i
 
     @pytest.mark.parametrize("base", [10, 20])
     def test_one_row_equals_batch_where_a_limit_wins(self, clip_pmfs, base):
@@ -656,38 +662,39 @@ class TestLimitCurves:
             assert alone[1][0] == residual[i] and alone[2][0] == converged[i]
 
     @pytest.mark.parametrize("base", [10, 20])
-    def test_few_cells_end_above_the_tight_reference(self, clip_pmfs, base, monkeypatch):
-        # the reference also runs the search with only a 1e-10 diameter stop
-        # and a 6000-iteration cap
+    def test_few_cells_end_above_the_tight_reference(self, clip_pmfs, base):
+        # the reference is a Nelder-Mead with only a 1e-10 diameter stop and a
+        # 6000-iteration cap
         probs = clip_pmfs[base]
         _, residual, _ = fd.fit_benford_batch(probs, base)
-        monkeypatch.setattr(fd, "FIT_X_TOL", 1e-10)
-        monkeypatch.setattr(fd, "FIT_F_TOL", 0.0)
-        monkeypatch.setattr(fd, "FIT_F_TOL_ABS", 0.0)
-        tight = fd._nelder_mead_batch(probs, base, 6000)[1]
+        tight = four_point_fit(probs, base, 6000, x_tol=1e-10, f_tol=0.0, f_tol_abs=0.0)[1]
         above = residual > 1.01 * np.minimum(residual, tight)
         assert np.mean(above) <= 0.10, np.mean(above)
 
     def test_loop_stops_at_the_cap(self, monkeypatch):
-        # the uniform row's objective falls without bound as gamma + delta_exp
-        # grows, so its search never stops on its own; the Benford row's does
-        probs = np.vstack([benford_probs(), np.full(9, 1.0 / 9.0)])
-        projected = fd._projected_batch
+        # the second row's shape moves closer to its pmf on every evaluation,
+        # so each step lowers its sum of squares by ~19% and its search never
+        # stops on its own; the Benford row's does. The second pmf is not
+        # monotone, so no step or ramp replaces the capped curve
+        probs = np.vstack([benford_probs(), np.array([3, 1, 2, 1, 2, 1, 2, 1, 2]) / 15.0])
+        away = np.resize([1.0, -1.0], 9)
+        away -= away @ probs[1] / (probs[1] @ probs[1]) * probs[1]
+        shape = fd._shape_batch
         calls = []
 
-        def endless(shape, rows, ln_digits, ln_base):
-            mse = projected(shape, rows, ln_digits, ln_base)
-            uniform = rows[:, 0] == probs[1, 0]
-            calls.append(bool(uniform.any()))
-            return np.where(uniform[:, None], -shape[..., 0] - shape[..., 1], mse)
+        def endless(points, ln_digits, ln_base):
+            g, dg = shape(points, ln_digits, ln_base)
+            # the second row is the batch's last while it is active
+            g[-1] = probs[1] + 0.05 * 0.9 ** len(calls) * away
+            calls.append(len(points))
+            return g, dg
 
-        monkeypatch.setattr(fd, "_projected_batch", endless)
+        monkeypatch.setattr(fd, "_shape_batch", endless)
         _, _, converged = fd.fit_benford_batch(probs, 10)
-        # one evaluation of the start simplexes, then at most three a pass
-        assert len(calls) <= 1 + 3 * fd.FIT_MAX_ITER
-        # the endless row takes its expansion on every pass: it ran exactly
-        # FIT_MAX_ITER passes, and the loop stopped with it
-        assert calls.count(True) == 1 + 2 * fd.FIT_MAX_ITER
+        # one evaluation of the start, then one a step: the endless row ran
+        # exactly FIT_MAX_ITER steps, and the Benford row left the batch first
+        assert len(calls) == 1 + fd.FIT_MAX_ITER
+        assert calls[0] == 2 and calls[-1] == 1
         assert converged.tolist() == [True, False]
 
 

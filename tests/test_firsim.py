@@ -249,6 +249,8 @@ class TestSweep:
         (dict(n_coeffs_list=(8, 2)), "n_coeffs must be >= 3"),
         (dict(jobs=0), "jobs must be >= 1"),
         (dict(deltas=(float("nan"),)), "every quantization step must be > 0"),
+        (dict(n_coeffs_list=(8, 8)), "FIR lengths and frequencies must not repeat"),
+        (dict(frequencies=(2, 2)), "FIR lengths and frequencies must not repeat"),
     ])
     def test_settings_rejected_before_any_trial(self, monkeypatch, change, message):
         def no_trial(*args, **kwargs):
