@@ -374,7 +374,10 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help and --version (0), or a usage error (64)
+        return exc.code
     try:
         return args.func(args)
     except SettingError as exc:

@@ -9,9 +9,11 @@ and emit four divergences between the empirical pmf and the fitted curve
 Records take one path: `cell_pmfs` builds a record's cell pmfs with one
 `digit_pmf` call per base, and `assemble_features_many` fits the pmfs of a
 batch of records with one `fit_benford_batch` call per base. The curve has one
-evaluator, `_shape_batch`, which computes d^delta as exp(delta * ln d) and
-returns the shape with its derivatives. The fit reports each row's curve and
-that curve's residual, not the parameters; the divergences read the curve.
+shape evaluator, `_shape_batch`, which computes d^delta as exp(delta * ln d)
+and keeps the intermediates from which `_derivatives_batch` builds the shape's
+derivatives; the search builds them only where it takes a step. The fit
+reports each row's curve and that curve's residual, not the parameters; the
+divergences read the curve.
 `fit_benford(probs, base)`, which returns a `BenfordFit(curve, residual_mse,
 converged)`, and `divergences(probs, fit)` are single-pmf wrappers over the
 same batched code; no feature path calls them.
@@ -24,14 +26,16 @@ gamma = e^s - min_d d^delta: then gamma + d^delta = e^s + d^delta - min_d d^delt
 is > 0 at every point, so no point is infeasible, and the start (0, 1) is the
 Benford point gamma = 0. Each step is a Levenberg-Marquardt step on the exact
 Jacobian of the projected residual (Levenberg 1944; Marquardt 1963): one damped
-2x2 solve per row, taken only where it strictly lowers the sum of squares. The
-damping starts at 1e-3 and is divided by 3 after a taken step and multiplied
-by 4 after a refused one. A row stops after a taken step that lowers its sum
-of squares by at most 1e-8 of it plus 1e-30 * <p,p>, or after a refused step
-at damping >= 1e12, and it is capped at 60 steps. The search runs many cells
-in lockstep as one vectorized batch, which a row leaves when it stops;
-per-problem arithmetic is row-independent, so batch composition cannot change
-any result.
+2x2 solve per row, taken only where it strictly lowers the sum of squares. A
+row keeps the undamped normal equations of its point, so a refused step, which
+changes only the damping, re-forms nothing; the trial's derivatives are built
+only for rows that take the step and stay in the batch. The damping starts at
+1e-3 and is divided by 3 after a taken step and multiplied by 4 after a
+refused one. A row stops after a taken step that lowers its sum of squares by
+at most 1e-8 of it plus 1e-30 * <p,p>, or after a refused step at damping
+>= 1e12, and it is capped at 60 steps. The search runs many cells in lockstep
+as one vectorized batch, which a row leaves when it stops; per-problem
+arithmetic is row-independent, so batch composition cannot change any result.
 
 Many pmfs have no finite optimum: their residual falls as the parameters run
 off to infinity, towards a curve the family approaches but never reaches.
@@ -166,10 +170,11 @@ def digit_pmf(columns, deltas, base: int, min_digits: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _shape_batch(points: np.ndarray, ln_digits: np.ndarray,
-                 ln_base: float) -> tuple[np.ndarray, np.ndarray]:
+                 ln_base: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Shape g = log_b(1 + 1/x) at (B, 2) points (s, delta), with
     x_d = e^s + d^delta - min_d d^delta and d^delta = exp(delta * ln d), and
-    its (B, 2, D) derivatives in s and delta. x > 0 wherever e^s > 0."""
+    the intermediates (power d^delta, least min_d d^delta, scale e^s, x) from
+    which `_derivatives_batch` builds its derivatives. x > 0 wherever e^s > 0."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         power = np.exp(points[:, 1:] * ln_digits)
         # 1^delta is exactly 1, so the least power is at d = D where it is below 1
@@ -179,14 +184,24 @@ def _shape_batch(points: np.ndarray, ln_digits: np.ndarray,
         x += scale
         g = np.log1p(np.reciprocal(x))
         g /= ln_base
+    return g, (power, least, scale, x)
+
+
+def _derivatives_batch(parts: tuple[np.ndarray, ...], ln_digits: np.ndarray,
+                       ln_base: float) -> tuple[np.ndarray, np.ndarray]:
+    """(B, D) derivatives of the shape in s and in delta, from the
+    intermediates `_shape_batch` returns for (rows of) its points."""
+    power, least, scale, x = parts
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dg_dx = x + 1.0
         dg_dx *= x
         dg_dx *= -ln_base
         np.reciprocal(dg_dx, out=dg_dx)
-        dx_ddelta = power * ln_digits
-        dx_ddelta -= np.where(least < 1.0, least * ln_digits[-1], 0.0)
-        dg = np.stack([dg_dx * scale, dg_dx * dx_ddelta], axis=1)
-    return g, dg
+        dg_ddelta = power * ln_digits
+        dg_ddelta -= np.where(least < 1.0, least * ln_digits[-1], 0.0)
+        dg_ddelta *= dg_dx
+        dg_dx *= scale
+    return dg_dx, dg_ddelta
 
 
 def _mse_batch(curves: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -200,13 +215,38 @@ def _mse_batch(curves: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 
 def _projection_batch(probs: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(beta, r = beta g - p, sum of squares of r) of (B, D) shapes g against
-    (B, D) pmfs, with beta = <p,g>/<g,g> the least-squares scale of each shape."""
+    """(beta, r = beta g - p, sum of squares of r, <g,g>) of (B, D) shapes g
+    against (B, D) pmfs, with beta = <p,g>/<g,g> the least-squares scale of
+    each shape."""
+    gg = np.add.reduce(g * g, -1)
     beta = np.add.reduce(probs * g, -1)
-    beta /= np.add.reduce(g * g, -1)
+    beta /= gg
     r = beta[:, None] * g
     r -= probs
-    return beta, r, np.add.reduce(r * r, -1)
+    return beta, r, np.add.reduce(r * r, -1), gg
+
+
+def _normal_batch(g: np.ndarray, beta: np.ndarray, r: np.ndarray, gg: np.ndarray,
+                  dg_ds: np.ndarray, dg_ddelta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Undamped normal equations (a_ss, a_sd, a_dd, grad_s, grad_delta) of the
+    projected residual r at (B, D) shapes g, from `_projection_batch` and
+    `_derivatives_batch` at the same points: A = J^T J and grad = J^T r."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # the Jacobian of r, beta's dependence included:
+        # J_k = beta dg_k + c_k g with c_k = (<dg_k, -r> - beta <g, dg_k>) / <g,g>
+        neg_gg = -gg
+        jac = []
+        for dg in (dg_ds, dg_ddelta):
+            c = np.add.reduce(dg * r, -1)
+            c += beta * np.add.reduce(dg * g, -1)
+            c /= neg_gg
+            j = beta[:, None] * dg
+            j += c[:, None] * g
+            jac.append(j)
+        j_s, j_d = jac
+        return (np.add.reduce(j_s * j_s, -1), np.add.reduce(j_s * j_d, -1),
+                np.add.reduce(j_d * j_d, -1), np.add.reduce(j_s * r, -1),
+                np.add.reduce(j_d * r, -1))
 
 
 def fit_benford_batch(probs: np.ndarray, base: int,
@@ -243,9 +283,10 @@ def _lm_batch(probs: np.ndarray, base: int,
     ln_digits = np.log(np.arange(1, base, dtype=np.float64))
     ln_base = math.log(base)
     point = np.tile(FIT_START, (n_prob, 1))
-    g, dg = _shape_batch(point, ln_digits, ln_base)
+    g, parts = _shape_batch(point, ln_digits, ln_base)
     rows = probs
-    beta, r, sse = _projection_batch(rows, g)
+    beta, r, sse, gg = _projection_batch(rows, g)
+    normal = _normal_batch(g, beta, r, gg, *_derivatives_batch(parts, ln_digits, ln_base))
     damping = np.full(n_prob, 1e-3)
     sse_floor = 1e-30 * np.add.reduce(rows * rows, -1)
     curves = np.empty_like(probs)
@@ -253,42 +294,43 @@ def _lm_batch(probs: np.ndarray, base: int,
     active = np.arange(n_prob)
 
     for _ in range(max_iter):
+        a_ss, a_sd, a_dd, grad_s, grad_d = normal
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # the Jacobian of r, beta's dependence included:
-            # J_k = beta dg_k + c_k g with c_k = (<dg_k, -r> - beta <g, dg_k>) / <g,g>
-            c = np.add.reduce(dg * r[:, None], -1)
-            c += beta[:, None] * np.add.reduce(dg * g[:, None], -1)
-            c /= -np.add.reduce(g * g, -1)[:, None]
-            jac = beta[:, None, None] * dg
-            jac += c[..., None] * g[:, None]
-            a_ss = np.add.reduce(jac[:, 0] * jac[:, 0], -1)
-            a_sd = np.add.reduce(jac[:, 0] * jac[:, 1], -1)
-            a_dd = np.add.reduce(jac[:, 1] * jac[:, 1], -1)
-            grad = np.add.reduce(jac * r[:, None], -1)
             # damped normal equations (A + damping diag(A)) step = -grad, in closed form
-            a_ss *= 1.0 + damping
-            a_dd *= 1.0 + damping
+            a_ss = a_ss * (1.0 + damping)
+            a_dd = a_dd * (1.0 + damping)
             det = a_ss * a_dd - a_sd * a_sd
-            step = np.stack([a_sd * grad[:, 1] - a_dd * grad[:, 0],
-                             a_sd * grad[:, 0] - a_ss * grad[:, 1]], axis=1)
+            step = np.stack([a_sd * grad_d - a_dd * grad_s,
+                             a_sd * grad_s - a_ss * grad_d], axis=1)
             step /= det[:, None]
             trial = point + step
-            trial_g, trial_dg = _shape_batch(trial, ln_digits, ln_base)
-            trial_beta, trial_r, trial_sse = _projection_batch(rows, trial_g)
+            trial_g, trial_parts = _shape_batch(trial, ln_digits, ln_base)
+            trial_beta, trial_r, trial_sse, trial_gg = _projection_batch(rows, trial_g)
         # a step is taken only where it lowers the sum of squares; nan never does
         accept = trial_sse < sse
         done = np.where(accept, sse - trial_sse <= 1e-8 * sse + sse_floor, damping >= 1e12)
-        point[accept], g[accept], dg[accept] = trial[accept], trial_g[accept], trial_dg[accept]
-        beta[accept], r[accept] = trial_beta[accept], trial_r[accept]
-        sse[accept] = trial_sse[accept]
+        np.copyto(point, trial, where=accept[:, None])
+        np.copyto(g, trial_g, where=accept[:, None])
+        np.copyto(beta, trial_beta, where=accept)
+        np.copyto(sse, trial_sse, where=accept)
         damping = np.where(accept, damping / 3.0, damping * 4.0)
+        # the normal equations move with the point, and only rows that stay need them
+        moved = (accept & ~done).nonzero()[0]
+        if moved.size:
+            slopes = _derivatives_batch(tuple(a.take(moved, 0) for a in trial_parts),
+                                        ln_digits, ln_base)
+            fresh = _normal_batch(*(a.take(moved, 0) for a in (trial_g, trial_beta, trial_r,
+                                                                trial_gg)), *slopes)
+            for kept, new in zip(normal, fresh):
+                kept[moved] = new
         if np.count_nonzero(done):
             idx = active[done]
             curves[idx] = beta[done, None] * g[done]
             converged[idx] = True
-            stay = ~done
-            point, g, dg, beta, r, sse, damping, rows, sse_floor, active = (
-                a[stay] for a in (point, g, dg, beta, r, sse, damping, rows, sse_floor, active))
+            stay = (~done).nonzero()[0]
+            point, g, beta, sse, damping, rows, sse_floor, active, *normal = (
+                a.take(stay, 0) for a in (point, g, beta, sse, damping, rows, sse_floor,
+                                          active, *normal))
             if active.size == 0:
                 break
     curves[active] = beta[:, None] * g

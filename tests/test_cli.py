@@ -79,12 +79,11 @@ class TestExtract:
 
     def test_unknown_segment_is_usage_error(self, cli_corpus, tmp_path):
         root, protocol, audio_dir = cli_corpus
-        with pytest.raises(SystemExit) as err:
-            cli.main([
-                "extract", "--protocol", str(protocol), "--audio-root", str(audio_dir),
-                "--segment", "noise", "--out", str(tmp_path / "z.csv"),
-            ])
-        assert err.value.code == 64
+        code = cli.main([
+            "extract", "--protocol", str(protocol), "--audio-root", str(audio_dir),
+            "--segment", "noise", "--out", str(tmp_path / "z.csv"),
+        ])
+        assert code == 64
 
     def test_missing_audio_exits_2(self, cli_corpus, tmp_path):
         root, protocol, audio_dir = cli_corpus
@@ -375,12 +374,14 @@ class TestRejectedInput:
         if config is not None:
             (tmp_path / "conf.txt").write_text(config)
             required += ["--config", str(tmp_path / "conf.txt")]
-        try:
-            code = cli.main(argv + required)
-        except SystemExit as exc:  # a flag that argparse's type rejects
-            code = exc.code
+        code = cli.main(argv + required)
         assert code == 64
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["extract", "--help"], ["--version"]])
+    def test_help_returns_zero(self, argv, capsys):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out
 
     def test_unknown_config_key_is_usage_error(self, cli_corpus, tmp_path, capsys):
         # a misspelt key would otherwise leave its setting at the default

@@ -344,6 +344,105 @@ def four_point_fit(probs, base, max_iter, x_tol, f_tol, f_tol_abs):
     return curves, residual, converged
 
 
+def stacked_shape(points, ln_digits, ln_base):
+    """Shape g at (B, 2) points (s, delta) and its (B, 2, D) derivatives in s
+    and delta, built together at every point: the evaluator the search used
+    before it built derivatives only where a step is taken."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        power = np.exp(points[:, 1:] * ln_digits)
+        least = np.where(power[:, -1:] < 1.0, power[:, -1:], 1.0)
+        scale = np.exp(points[:, :1])
+        x = power - least
+        x += scale
+        g = np.log1p(np.reciprocal(x))
+        g /= ln_base
+        dg_dx = x + 1.0
+        dg_dx *= x
+        dg_dx *= -ln_base
+        np.reciprocal(dg_dx, out=dg_dx)
+        dx_ddelta = power * ln_digits
+        dx_ddelta -= np.where(least < 1.0, least * ln_digits[-1], 0.0)
+        dg = np.stack([dg_dx * scale, dg_dx * dx_ddelta], axis=1)
+    return g, dg
+
+
+def stacked_projection(probs, g):
+    """(beta, r = beta g - p, sum of squares of r) of (B, D) shapes g."""
+    beta = np.add.reduce(probs * g, -1)
+    beta /= np.add.reduce(g * g, -1)
+    r = beta[:, None] * g
+    r -= probs
+    return beta, r, np.add.reduce(r * r, -1)
+
+
+def stacked_lm_fit(probs, base, max_iter, moved=None):
+    """The Levenberg-Marquardt search with stacked derivatives, written as it
+    was before each step re-formed only what moved: every step re-forms the
+    Jacobian and normal equations of every active row and evaluates the
+    trial's shape and derivatives at every row. The oracle of `_lm_batch`,
+    which has to match it bit for bit. If `moved` is a list, each step
+    appends to it the number of rows that take the step and stay."""
+    probs = np.ascontiguousarray(probs, dtype=np.float64)
+    n_prob = probs.shape[0]
+    ln_digits = np.log(np.arange(1, base, dtype=np.float64))
+    ln_base = math.log(base)
+    point = np.tile(fd.FIT_START, (n_prob, 1))
+    g, dg = stacked_shape(point, ln_digits, ln_base)
+    rows = probs
+    beta, r, sse = stacked_projection(rows, g)
+    damping = np.full(n_prob, 1e-3)
+    sse_floor = 1e-30 * np.add.reduce(rows * rows, -1)
+    curves = np.empty_like(probs)
+    converged = np.zeros(n_prob, dtype=bool)
+    active = np.arange(n_prob)
+
+    for _ in range(max_iter):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            c = np.add.reduce(dg * r[:, None], -1)
+            c += beta[:, None] * np.add.reduce(dg * g[:, None], -1)
+            c /= -np.add.reduce(g * g, -1)[:, None]
+            jac = beta[:, None, None] * dg
+            jac += c[..., None] * g[:, None]
+            a_ss = np.add.reduce(jac[:, 0] * jac[:, 0], -1)
+            a_sd = np.add.reduce(jac[:, 0] * jac[:, 1], -1)
+            a_dd = np.add.reduce(jac[:, 1] * jac[:, 1], -1)
+            grad = np.add.reduce(jac * r[:, None], -1)
+            a_ss *= 1.0 + damping
+            a_dd *= 1.0 + damping
+            det = a_ss * a_dd - a_sd * a_sd
+            step = np.stack([a_sd * grad[:, 1] - a_dd * grad[:, 0],
+                             a_sd * grad[:, 0] - a_ss * grad[:, 1]], axis=1)
+            step /= det[:, None]
+            trial = point + step
+            trial_g, trial_dg = stacked_shape(trial, ln_digits, ln_base)
+            trial_beta, trial_r, trial_sse = stacked_projection(rows, trial_g)
+        accept = trial_sse < sse
+        done = np.where(accept, sse - trial_sse <= 1e-8 * sse + sse_floor, damping >= 1e12)
+        if moved is not None:
+            moved.append(int(np.count_nonzero(accept & ~done)))
+        point[accept], g[accept], dg[accept] = trial[accept], trial_g[accept], trial_dg[accept]
+        beta[accept], r[accept] = trial_beta[accept], trial_r[accept]
+        sse[accept] = trial_sse[accept]
+        damping = np.where(accept, damping / 3.0, damping * 4.0)
+        if np.count_nonzero(done):
+            idx = active[done]
+            curves[idx] = beta[done, None] * g[done]
+            converged[idx] = True
+            stay = ~done
+            point, g, dg, beta, r, sse, damping, rows, sse_floor, active = (
+                a[stay] for a in (point, g, dg, beta, r, sse, damping, rows, sse_floor, active))
+            if active.size == 0:
+                break
+    curves[active] = beta[:, None] * g
+    return curves, fd._mse_batch(curves, probs), converged
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 @st.composite
 def pmf_rows(draw, base):
     """One base-`base` digit pmf: arbitrary, one-hot, uniform, on two digits,
@@ -390,7 +489,8 @@ class TestBenfordIdeal:
         ln_digits = np.log(np.arange(1, 10, dtype=float))
         points = np.array([(s, delta) for s in (-690.0, -40.0, 0.0, 40.0, 690.0)
                            for delta in (-60.0, -1.0, 0.0, 1.0, 60.0)])
-        g, dg = fd._shape_batch(points, ln_digits, math.log(10))
+        g, parts = fd._shape_batch(points, ln_digits, math.log(10))
+        dg = fd._derivatives_batch(parts, ln_digits, math.log(10))
         assert np.all(np.isfinite(g) & (g > 0.0)) and np.isfinite(dg).all()
         # the start (0, 1) is the Benford point gamma = 0
         assert projected_mse(np.array([fd.FIT_START]), benford_probs(), 10)[0] < 1e-20
@@ -413,13 +513,14 @@ class TestBenfordIdeal:
         ln_digits = np.log(np.arange(1, base, dtype=float))
         points = np.array([(s, delta) for s in (-3.0, 0.0, 2.0)
                            for delta in (-2.0, -0.5, 0.5, 1.0, 3.0)])
-        _, dg = fd._shape_batch(points, ln_digits, math.log(base))
+        _, parts = fd._shape_batch(points, ln_digits, math.log(base))
+        dg = fd._derivatives_batch(parts, ln_digits, math.log(base))
         for k in range(2):
             h = np.zeros(2)
             h[k] = 1e-6
             ahead = fd._shape_batch(points + h, ln_digits, math.log(base))[0]
             behind = fd._shape_batch(points - h, ln_digits, math.log(base))[0]
-            np.testing.assert_allclose(dg[:, k], (ahead - behind) / 2e-6, rtol=1e-6, atol=1e-9)
+            np.testing.assert_allclose(dg[k], (ahead - behind) / 2e-6, rtol=1e-6, atol=1e-9)
 
 
 class TestFitBenford:
@@ -437,11 +538,17 @@ class TestFitBenford:
         assert fit.converged
         assert fit.residual_mse < 1e-6
 
-    def test_uniform_fits_worse_than_benford(self):
+    def test_members_fit_exactly_and_two_peaks_do_not(self):
+        # the Benford pmf and the uniform pmf (delta -> 0) are both in the
+        # curve family, so both fit down to rounding; a pmf with half its mass
+        # on digit 2 and half on digit 8 is not monotone and stays far off
         benford_fit = fd.fit_benford(benford_probs(), 10)
         uniform_fit = fd.fit_benford(np.full(9, 1.0 / 9.0), 10)
         assert uniform_fit.converged
-        assert uniform_fit.residual_mse > benford_fit.residual_mse
+        assert benford_fit.residual_mse <= 1e-30 and uniform_fit.residual_mse <= 1e-30
+        two_peaks = np.zeros(9)
+        two_peaks[[1, 7]] = 0.5
+        assert fd.fit_benford(two_peaks, 10).residual_mse >= 1e-3
 
     def test_returned_params_feasible(self):
         rng = np.random.default_rng(4)
@@ -683,11 +790,11 @@ class TestLimitCurves:
         calls = []
 
         def endless(points, ln_digits, ln_base):
-            g, dg = shape(points, ln_digits, ln_base)
+            g, parts = shape(points, ln_digits, ln_base)
             # the second row is the batch's last while it is active
             g[-1] = probs[1] + 0.05 * 0.9 ** len(calls) * away
             calls.append(len(points))
-            return g, dg
+            return g, parts
 
         monkeypatch.setattr(fd, "_shape_batch", endless)
         _, _, converged = fd.fit_benford_batch(probs, 10)
@@ -696,6 +803,92 @@ class TestLimitCurves:
         assert len(calls) == 1 + fd.FIT_MAX_ITER
         assert calls[0] == 2 and calls[-1] == 1
         assert converged.tolist() == [True, False]
+
+
+@pytest.fixture(scope="module")
+def silence_pmfs():
+    """Per base, the cell pmfs of silence-view MFCCs of FIR-noise clips with
+    quiet gaps, at the hop `extract` uses for that view."""
+    config = fd.FdConfig()
+    pmfs = [[] for _ in config.bases]
+    for n_coeffs, seed in ((8, 41), (32, 42), (128, 43)):
+        clip = make_filtered_clip(n_coeffs, seed).samples
+        quiet = 1e-3 * make_filtered_clip(n_coeffs, seed + 10, n_samples=6000).samples
+        buffer = peak_normalize(AudioBuffer(np.concatenate([clip, quiet, clip, quiet, clip]),
+                                            16000, f"clip{seed}"))
+        view = segmentation.segment(buffer, EnergyConfig())[1]
+        assert view.kind is SegmentKind.SILENCE
+        matrix = mfcc(segmentation.extract(buffer, view),
+                      asvspoof.view_config(view.kind, CepstralConfig()))
+        for b, probs in enumerate(fd.cell_pmfs(matrix, config)):
+            pmfs[b].append(probs)
+    return {base: np.concatenate(p) for base, p in zip(config.bases, pmfs)}
+
+
+class TestSearchOracle:
+    """`_lm_batch` re-forms the normal equations only where the point moved
+    and builds derivatives only where a step is taken; every output bit
+    matches the search that re-forms everything on every step."""
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 5, 60])
+    @pytest.mark.parametrize("base", [10, 20])
+    def test_clip_pmfs_match_the_stacked_search(self, clip_pmfs, silence_pmfs, base, max_iter):
+        for probs in (clip_pmfs[base], silence_pmfs[base]):
+            assert_same_bits(fd._lm_batch(probs, base, max_iter),
+                             stacked_lm_fit(probs, base, max_iter))
+            for i in range(0, len(probs), 5):
+                row = probs[i:i + 1]
+                assert_same_bits(fd._lm_batch(row, base, max_iter),
+                                 stacked_lm_fit(row, base, max_iter))
+
+    @pytest.mark.parametrize("base", [2, 3, 10, 20])
+    def test_degenerate_pmfs_match_the_stacked_search(self, base):
+        n = base - 1
+        one_hot = np.eye(n)
+        uniform = np.full((1, n), 1.0 / n)
+        two_digit = np.zeros((3, n))
+        two_digit[0, [0, -1]] = (0.7, 0.3)
+        two_digit[1, [n // 2, -1]] = (0.5, 0.5)
+        two_digit[2, [0, n // 2]] = (0.2, 0.8)
+        tied = np.tile(np.resize([2.0, 0.0, 1.0], n), (2, 1))
+        tied[1] = np.resize([1.0, 1.0, 0.0, 0.0], n)
+        tied = tied[tied.sum(axis=1) > 0.0]
+        tied /= tied.sum(axis=1, keepdims=True)
+        probs = np.vstack([one_hot, uniform, two_digit, tied])
+        for max_iter in (0, 1, 5, 60):
+            assert_same_bits(fd._lm_batch(probs, base, max_iter),
+                             stacked_lm_fit(probs, base, max_iter))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from([2, 3, 10, 20]).flatmap(
+        # base 2 has one digit, so its only pmf is (1,)
+        lambda base: st.tuples(st.just(base),
+                               st.lists(pmf_rows(base) if base > 2 else st.just(np.ones(1)),
+                                        min_size=1, max_size=6),
+                               st.sampled_from([0, 1, 5, 60]))))
+    def test_batches_match_the_stacked_search(self, case):
+        base, rows, max_iter = case
+        probs = np.vstack(rows)
+        assert_same_bits(fd._lm_batch(probs, base, max_iter),
+                         stacked_lm_fit(probs, base, max_iter))
+
+    @pytest.mark.parametrize("base", [10, 20])
+    def test_derivatives_only_where_a_step_is_taken(self, clip_pmfs, base, monkeypatch):
+        # once for every row at the start, then on each step once for every
+        # row that takes it and stays in the batch, never for a refused step
+        probs = clip_pmfs[base]
+        moved = []
+        stacked_lm_fit(probs, base, fd.FIT_MAX_ITER, moved)
+        derivatives = fd._derivatives_batch
+        calls = []
+
+        def counted(parts, ln_digits, ln_base):
+            calls.append(len(parts[0]))
+            return derivatives(parts, ln_digits, ln_base)
+
+        monkeypatch.setattr(fd, "_derivatives_batch", counted)
+        fd._lm_batch(probs, base, fd.FIT_MAX_ITER)
+        assert calls == [len(probs)] + [n for n in moved if n]
 
 
 class TestDivergences:
