@@ -15,6 +15,7 @@ import csv
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -279,37 +280,136 @@ def write_feature_csv(path: str | Path, dataset: LabeledDataset,
         fh.write("\r\n")
 
 
+# Data lines whose value texts numpy parses in one call: the reader holds no
+# more text than this at once, and the call costs the same per line from one
+# line up.
+_BLOCK_LINES = 256
+
+# csv syntax, and the separators 0x1c-0x1f, which numpy's parser skips as
+# whitespace and float() rejects. A data line that holds one, or is empty, is
+# split by csv and its values checked by float().
+_CSV_CHARS = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
 def _decoded_lines(path: str | Path, fh):
-    """The lines of a binary file as UTF-8 text; ParseError, with file:line,
-    for a line that does not decode."""
+    """(line number, text) of every line of a binary file, decoded as UTF-8;
+    ParseError, with file:line, for a line that does not decode."""
     for lineno, raw in enumerate(fh, start=1):
         try:
-            yield raw.decode("utf-8")
+            yield lineno, raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from None
 
 
-def _csv_rows(path: str | Path, fh):
-    """(line number, fields) of every CSV record of a binary file; ParseError,
-    with file:line, for a line that does not decode or a record the reader
-    rejects."""
-    reader = csv.reader(_decoded_lines(path, fh))
+def _csv_fields(path: str | Path, lineno: int, text: str) -> list[str]:
+    """The fields of one line as csv reads them; ParseError, with file:line,
+    for a line csv rejects."""
     try:
-        for row in reader:
-            yield reader.line_num, row
+        return next(csv.reader([text]), [])
     except csv.Error as exc:
-        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+        raise ParseError(f"{path}:{lineno}: {exc}") from None
+
+
+def _value_text(fields: list[str]) -> str:
+    """The value fields of a line csv split, joined for numpy; ValueError,
+    worded as float()'s, for the first field float() rejects, else for one
+    that holds a line break, which float() skips as whitespace but numpy reads
+    as the end of a row."""
+    for field in fields:
+        float(field)
+    for field in fields:
+        if "\r" in field or "\n" in field:
+            raise ValueError(f"could not convert string to float: {field!r}")
+    return ",".join(fields)
+
+
+def _record(path: str | Path, lineno: int, text: str, width: int) -> tuple[str, int, str, str]:
+    """(record id, label, system id, value text) of one data line of `width`
+    fields. The field count and the label are checked first, then, on a line
+    csv splits, the values; ParseError, with file:line, for any fault."""
+    body = text.removesuffix("\n").removesuffix("\r")
+    plain = body and not any(c in body for c in _CSV_CHARS)
+    if plain:
+        fields = body.split(",", 3)
+        n_fields = len(fields) + (fields[3].count(",") if len(fields) == 4 else 0)
+    else:
+        fields = _csv_fields(path, lineno, text)
+        n_fields = len(fields)
+    try:
+        if n_fields != width:
+            raise ValueError(f"expected {width} fields, got {n_fields}")
+        label = int(fields[1])
+        if label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {label}")
+        values = fields[3] if plain else _value_text(fields[3:])
+        if not values:
+            raise ValueError("could not convert string to float: ''")
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: {exc}") from None
+    return fields[0], label, fields[2], values
+
+
+def _read_values(texts: list[str]) -> np.ndarray:
+    """One float64 row per value text, from numpy's C parser, which rounds as
+    float() does; ValueError for a text it cannot read or skips (numpy drops
+    empty lines)."""
+    values = np.loadtxt(texts, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    if len(values) != len(texts):
+        raise ValueError(f"{len(texts)} value texts gave {len(values)} rows")
+    return values
+
+
+def _bad_value(text: str) -> str:
+    """Why numpy cannot read a line's value text, which it rejects, worded as
+    float()'s message: the first field float() rejects, else the first numpy
+    rejects, such as `1_0`, which float() reads as 10. numpy splits the text
+    at the same commas, so one of its fields is rejected alone."""
+    fields = text.split(",")
+    for field in fields:
+        try:
+            float(field)
+        except ValueError as exc:
+            return str(exc)
+    for field in fields:
+        try:
+            _read_values([field])
+        except ValueError:
+            return f"could not convert string to float: {field!r}"
+
+
+def _block_values(path: str | Path, first: int, texts: list[str]) -> np.ndarray:
+    """The values of consecutive data lines, the first at line `first`, in one
+    numpy call; when that fails, line by line, with a ParseError, with
+    file:line, for the first line numpy cannot read."""
+    try:
+        return _read_values(texts)
+    except ValueError:
+        pass
+    rows = []
+    for lineno, text in enumerate(texts, start=first):
+        try:
+            rows.append(_read_values([text]))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: {_bad_value(text)}") from None
+    return np.concatenate(rows)
 
 
 def read_feature_csv(path: str | Path) -> tuple[LabeledDataset, tuple[FeatureDescriptor, ...]]:
     """Read a feature CSV; ParseError, with file:line, on undecodable bytes, a
     header without the id columns or any feature column, an unparsable column
-    name, a ragged row, a label outside {0, 1} or a non-finite value."""
+    name, a ragged row, a label outside {0, 1}, an unparsable value or a
+    non-finite value.
+
+    A record is one line. Each data line is split into its ids and its value
+    text, and the value texts of `_BLOCK_LINES` lines at a time are parsed in
+    one numpy call, so a bad value is reported after the field count and label
+    of every line in its block are checked."""
     with open(path, "rb") as fh:
-        rows_of = _csv_rows(path, fh)
-        _, header = next(rows_of, (1, None))
-        if header is None:
+        lines = _decoded_lines(path, fh)
+        _, text = next(lines, (1, None))
+        if text is None:
             raise ParseError(f"{path}:1: empty feature file")
+        header = _csv_fields(path, 1, text)
         if header[:3] != list(_ID_COLUMNS):
             raise ParseError(f"{path}:1: header must start with {','.join(_ID_COLUMNS)}")
         if len(header) == len(_ID_COLUMNS):
@@ -318,26 +418,20 @@ def read_feature_csv(path: str | Path) -> tuple[LabeledDataset, tuple[FeatureDes
             layout = tuple(fd_features.parse_feature_name(name) for name in header[3:])
         except ValueError as exc:
             raise ParseError(f"{path}:1: {exc}") from None
-        ids, labels, systems, rows, lines = [], [], [], [], []
-        for line_num, row in rows_of:
-            where = f"{path}:{line_num}"
-            if len(row) != len(header):
-                raise ParseError(f"{where}: expected {len(header)} fields, got {len(row)}")
-            try:
-                label = int(row[1])
-                rows.append(list(map(float, row[3:])))
-            except ValueError as exc:
-                raise ParseError(f"{where}: {exc}") from None
-            if label not in (0, 1):
-                raise ParseError(f"{where}: label must be 0 or 1, got {label}")
-            ids.append(row[0])
-            labels.append(label)
-            systems.append(row[2])
-            lines.append(line_num)
-    features = np.array(rows) if rows else np.zeros((0, len(layout)))
+        records = (_record(path, lineno, text, len(header)) for lineno, text in lines)
+        ids, labels, systems, blocks = [], [], [], []
+        while block := list(islice(records, _BLOCK_LINES)):
+            # data line k (from 0) is line k + 2 of the file
+            first = len(ids) + 2
+            for record_id, label, system, _ in block:
+                ids.append(record_id)
+                labels.append(label)
+                systems.append(system)
+            blocks.append(_block_values(path, first, [values for *_, values in block]))
+    features = np.concatenate(blocks) if blocks else np.zeros((0, len(layout)))
     bad = np.nonzero(~np.isfinite(features).all(axis=1))[0]
     if bad.size:
-        raise ParseError(f"{path}:{lines[bad[0]]}: non-finite feature value")
+        raise ParseError(f"{path}:{bad[0] + 2}: non-finite feature value")
     dataset = LabeledDataset(
         features=features,
         labels=np.array(labels, dtype=np.int64),

@@ -110,10 +110,12 @@ def _best_split(block: np.ndarray, y: np.ndarray, criterion: str, min_leaf: int)
     Every column is sorted and scored at once: a cut after sorted position i
     is valid where the value strictly increases there and both sides keep
     `min_leaf` rows. Ties go to the first column, then the first cut, so the
-    winner is what scoring the columns one by one in order would pick.
+    winner is what scoring the columns one by one in order would pick. A cut
+    never falls inside a run of equal values, so the order of tied rows, and
+    with it the sort's kind, changes no count at a cut.
     """
     m = block.shape[0]
-    order = np.argsort(block, axis=0, kind="stable")
+    order = np.argsort(block, axis=0)
     xs = np.take_along_axis(block, order, axis=0)
     ones = np.cumsum(y[order], axis=0)
     n_left = np.arange(1, m)[:, None]  # a cut after position i leaves i + 1 rows left
@@ -248,18 +250,9 @@ def _majority(votes: np.ndarray, n_trees: int) -> np.ndarray:
     return (votes * 2 > n_trees).astype(np.int64)
 
 
-def predict(model: TrainedModel, features: np.ndarray) -> tuple[int, float]:
-    """Majority vote over trees; score is the fraction voting spoof.
-
-    A 50/50 tie resolves to bonafide (label 0).
-    """
-    x = np.asarray(features, dtype=np.float64)
-    score = int(_votes(model, x[None, :])[0]) / len(model.trees)
-    return (1 if score > 0.5 else 0), score
-
-
 def predict_batch(model: TrainedModel, dataset: LabeledDataset) -> np.ndarray:
-    """Labels for every record; identical to predict() row by row."""
+    """Labels for every record: 1 where more than half of the trees vote spoof,
+    so a 50/50 tie is bonafide (label 0)."""
     if dataset.layout_hash != model.layout_hash:
         raise LayoutMismatch(
             f"features layout {dataset.layout_hash} != model layout {model.layout_hash}"

@@ -268,6 +268,68 @@ class TestFeatureCsv:
             read_feature_csv(path)
         assert str(info.value) == f"{path}:3: could not convert string to float: 'x1'"
 
+    def test_empty_value_of_one_column_file_names_its_line(self, tmp_path):
+        # numpy skips an empty line, which would shift every later id against
+        # the features
+        layout = feature_layout(FdConfig(bases=(10,), deltas=(1.0,)), (2,))[:1]
+        path = tmp_path / "f.csv"
+        path.write_text(f"record_id,label,system_id,{layout[0].name}\n"
+                        "a,0,-,1.5\nb,1,A01,\nc,0,-,2.5\n")
+        with pytest.raises(ParseError) as info:
+            read_feature_csv(path)
+        assert str(info.value) == f"{path}:3: could not convert string to float: ''"
+
+    def test_value_that_only_float_reads_names_its_line(self, tmp_path):
+        # float() reads `1_0` as 10; numpy's parser does not, and the value
+        # must not escape as a bare ValueError
+        layout = feature_layout(FdConfig(bases=(10,), deltas=(1.0,)), (2,))
+        path = tmp_path / "f.csv"
+        path.write_text("record_id,label,system_id," + ",".join(d.name for d in layout)
+                        + "\na,0,-,1.0,2.0,3.0,4.0\nb,1,A01,1.0,1_0,3.0,4.0\n")
+        with pytest.raises(ParseError) as info:
+            read_feature_csv(path)
+        assert str(info.value) == f"{path}:3: could not convert string to float: '1_0'"
+
+    def many_rows(self, tmp_path, n):
+        """A written feature CSV of n records, past the reader's first block:
+        random values of every magnitude among the writer's special values,
+        and record ids that csv quotes."""
+        layout = feature_layout(FdConfig(bases=(10,), deltas=(1.0,)), (2, 3))
+        rng = np.random.default_rng(21)
+        features = rng.normal(size=(n, len(layout))) * 10.0 ** rng.integers(-300, 300, (n, 1))
+        specials = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308]
+        features[::3, :len(specials)] = specials
+        ids = tuple(f'r{i},"q"' if i % 5 == 0 else f"r{i}" for i in range(n))
+        dataset = LabeledDataset(features, np.arange(n) % 2, ids, layout_hash(layout),
+                                 tuple("-" if i % 2 == 0 else "A01" for i in range(n)))
+        path = tmp_path / "f.csv"
+        write_feature_csv(path, dataset, layout)
+        return path, dataset
+
+    def test_roundtrip_of_several_blocks_is_bit_exact(self, tmp_path):
+        path, dataset = self.many_rows(tmp_path, 2 * asvspoof._BLOCK_LINES + 3)
+        back, _ = read_feature_csv(path)
+        assert back.features.tobytes() == dataset.features.tobytes()
+        assert back.labels.tolist() == dataset.labels.tolist()
+        assert back.record_ids == dataset.record_ids
+        assert back.system_ids == dataset.system_ids
+
+    @pytest.mark.parametrize("value,message", [
+        ("x1", "could not convert string to float: 'x1'"),
+        ("1_0", "could not convert string to float: '1_0'"),
+        ("-inf", "non-finite feature value"),
+    ])
+    def test_bad_value_past_the_first_block_names_its_line(self, tmp_path, value, message):
+        path, _ = self.many_rows(tmp_path, asvspoof._BLOCK_LINES + 40)
+        lines = path.read_text().splitlines()
+        row = asvspoof._BLOCK_LINES + 17
+        head, _, *tail = lines[row + 1].rsplit(",", 3)  # the header is line 1
+        lines[row + 1] = ",".join([head, value, *tail])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as info:
+            read_feature_csv(path)
+        assert str(info.value) == f"{path}:{row + 2}: {message}"
+
 
 def synthetic_dataset(n_per_class, layout, seed, systems=("A01", "A02")):
     """Separable synthetic features: spoof rows are shifted up."""

@@ -429,7 +429,8 @@ class TestRejectedInput:
         assert f"{meta}:2: not UTF-8 text" in capsys.readouterr().err
 
     @pytest.mark.parametrize("probe", ["ragged_row", "bad_column_name", "non_finite", "label_7",
-                                       "undecodable", "short_header", "ids_only_header"])
+                                       "undecodable", "short_header", "ids_only_header",
+                                       "blank_line", "bare_cr", "open_quote", "underscore"])
     def test_malformed_feature_csv_exits_2(self, extracted, tmp_path, capsys, probe):
         _, features = extracted
         lines = features.read_text().splitlines()
@@ -446,6 +447,14 @@ class TestRejectedInput:
             lines = [line.split(",")[0] for line in lines]
         elif probe == "ids_only_header":
             lines = [",".join(line.split(",")[:3]) for line in lines]
+        elif probe == "blank_line":
+            lines[2] = ""
+        elif probe == "bare_cr":
+            lines[2] = ",".join(fields[:5]) + "\r" + ",".join(fields[5:])
+        elif probe == "open_quote":
+            lines[2] = '"' + lines[2]  # a record is one line: the quote does not run on
+        elif probe == "underscore":
+            lines[2] = ",".join(fields[:5] + ["1_0"] + fields[6:])  # float() reads it as 10
         else:
             lines[2] = ",".join(fields[:1] + ["7"] + fields[2:])
         bad = tmp_path / "bad.csv"

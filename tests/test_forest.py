@@ -20,7 +20,6 @@ from fdspoof.forest import (
     accuracy,
     grid_search,
     load_model,
-    predict,
     predict_batch,
     save_model,
     train_forest,
@@ -40,6 +39,14 @@ def walk_tree(tree, x):
         node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
     c0, c1 = tree.counts[node]
     return 1 if c1 > c0 else 0
+
+
+def predict(model, features):
+    """Reference per-row prediction: (label, score), where the score is the
+    fraction of trees voting spoof and a 50/50 tie is bonafide (label 0)."""
+    x = np.asarray(features, dtype=np.float64)
+    score = sum(walk_tree(tree, x) for tree in model.trees) / len(model.trees)
+    return (1 if score > 0.5 else 0), score
 
 
 def split_one_feature(x, y, criterion, min_leaf):
@@ -219,6 +226,36 @@ class TestSplitOracle:
             assert_same_tree(tree, grow_by_feature(data, config, 11 + t, bootstrap))
         # the grid is only worth checking if it splits at all
         assert max(len(tree.feature) for tree in model.trees) > 1
+
+    @pytest.mark.parametrize("criterion,min_leaf,step",
+                             list(itertools.product(CRITERIA, (1, 3), (None, 0.1, 0.5))))
+    def test_default_sort_grows_the_stable_sort_model(self, monkeypatch, criterion, min_leaf,
+                                                      step):
+        # a cut falls only where the sorted value strictly increases, so the
+        # order of tied rows cannot change a model byte
+        rng = np.random.default_rng(29)
+        features = rng.normal(0.0, 1.0, (200, 12))
+        if step is not None:
+            features = np.round(features / step) * step
+            # the default sort does reorder ties here, so the check is not vacuous
+            assert not np.array_equal(np.argsort(features, axis=0),
+                                      np.argsort(features, axis=0, kind="stable"))
+        noise = rng.normal(0.0, 1.0, 200)
+        labels = (features[:, 0] + features[:, 1] * features[:, 2] + noise > 0).astype(int)
+        data = dataset_of(features, labels)
+        config = ForestConfig(n_trees=4, criterion=criterion, min_samples_leaf=min_leaf, seed=5)
+        grown = train_forest(data, config)
+        argsort, stable_calls = np.argsort, []
+
+        def stable_argsort(a, axis=-1):
+            stable_calls.append(a.shape)
+            return argsort(a, axis=axis, kind="stable")
+
+        monkeypatch.setattr(forest.np, "argsort", stable_argsort)
+        stable = train_forest(data, config)
+        assert stable_calls
+        for tree, reference in zip(grown.trees, stable.trees, strict=True):
+            assert_same_tree(tree, reference)
 
     @pytest.mark.parametrize("features,labels,min_leaf,counts", [
         ([[1.0, 2.0]] * 4, [0, 1, 0, 1], 1, [2, 2]),  # constant columns: no cut at all
