@@ -303,9 +303,11 @@ def _decoded_lines(path: str | Path, fh):
 
 def _csv_fields(path: str | Path, lineno: int, text: str) -> list[str]:
     """The fields of one line as csv reads them; ParseError, with file:line,
-    for a line csv rejects."""
+    for a line csv rejects. A quote left open takes the rest of the line, its
+    line break too, into one field; a last line without one is given one, so
+    that its open quote is not closed by the end of the file."""
     try:
-        return next(csv.reader([text]), [])
+        return next(csv.reader([text if text.endswith("\n") else text + "\n"]), [])
     except csv.Error as exc:
         raise ParseError(f"{path}:{lineno}: {exc}") from None
 

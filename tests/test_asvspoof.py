@@ -290,6 +290,19 @@ class TestFeatureCsv:
             read_feature_csv(path)
         assert str(info.value) == f"{path}:3: could not convert string to float: '1_0'"
 
+    @pytest.mark.parametrize("tail", ['"4.0\nb,1,A01,1.0,2.0,3.0,4.0"\n', '"4.0\n', '"4.0'])
+    def test_value_quote_left_open_names_its_line(self, tmp_path, tail):
+        # a record is one line: an open quote takes the line break into its
+        # field, and neither a quote on the next line nor the end of the file
+        # closes it
+        layout = feature_layout(FdConfig(bases=(10,), deltas=(1.0,)), (2,))
+        path = tmp_path / "f.csv"
+        path.write_text("record_id,label,system_id," + ",".join(d.name for d in layout)
+                        + "\na,0,-,1.0,2.0,3.0," + tail)
+        with pytest.raises(ParseError) as info:
+            read_feature_csv(path)
+        assert str(info.value) == f"{path}:2: could not convert string to float: '4.0\\n'"
+
     def many_rows(self, tmp_path, n):
         """A written feature CSV of n records, past the reader's first block:
         random values of every magnitude among the writer's special values,
