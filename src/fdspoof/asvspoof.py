@@ -1,7 +1,8 @@
 """ASVSpoof-style corpus harness: protocols, balancing, extraction, evaluation.
 
 Protocol files are whitespace-separated lines `speaker utterance - system key`
-where system is `-` for bonafide entries. Training data is decimated so every
+where system is `-` for bonafide entries. In protocol and config files a line
+ends at `\\n`, and `\\r\\n` is accepted. Training data is decimated so every
 spoof system contributes the same number of records and the bonafide total
 matches the spoof total exactly. Feature extraction runs the full per-record
 pipeline (decode, strip zeros, peak-normalize, segment, extract view, MFCC,
@@ -73,22 +74,26 @@ class EvaluationReport:
     rows: tuple[EvalRow, ...]
 
 
-def read_text(path: str | Path, line_label: str) -> str:
-    """The text of a UTF-8 file; ParseError `<line_label><n>: not UTF-8 text`
-    naming the first line n that does not decode."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"{line_label}{lineno}: not UTF-8 text: {exc.reason}") from None
+def decoded_lines(line_label: str, fh):
+    """(line number, text) of every line of a binary file, decoded as UTF-8;
+    a line ends at `\\n`, which its text keeps. ParseError
+    `<line_label><n>: not UTF-8 text` for a line n that does not decode."""
+    for lineno, raw in enumerate(fh, start=1):
+        try:
+            yield lineno, raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{line_label}{lineno}: not UTF-8 text: {exc.reason}") from None
 
 
 def parse_protocol(path: str | Path) -> list[ProtocolEntry]:
-    """Parse an ASVSpoof 2019 LA style protocol file."""
-    text = read_text(path, "line ")
+    """Parse an ASVSpoof 2019 LA style protocol file. Every line is decoded
+    before any is parsed, and a `\\r` inside a line is a ParseError."""
+    with open(path, "rb") as fh:
+        lines = list(decoded_lines("line ", fh))
     entries = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in lines:
+        if "\r" in line.rstrip():
+            raise ParseError(f"line {lineno}: carriage return inside the line")
         if not line.strip():
             continue
         fields = line.split()
@@ -291,16 +296,6 @@ _BLOCK_LINES = 256
 _CSV_CHARS = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _decoded_lines(path: str | Path, fh):
-    """(line number, text) of every line of a binary file, decoded as UTF-8;
-    ParseError, with file:line, for a line that does not decode."""
-    for lineno, raw in enumerate(fh, start=1):
-        try:
-            yield lineno, raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from None
-
-
 def _csv_fields(path: str | Path, lineno: int, text: str) -> list[str]:
     """The fields of one line as csv reads them; ParseError, with file:line,
     for a line csv rejects. A quote left open takes the rest of the line, its
@@ -312,23 +307,28 @@ def _csv_fields(path: str | Path, lineno: int, text: str) -> list[str]:
         raise ParseError(f"{path}:{lineno}: {exc}") from None
 
 
-def _value_text(fields: list[str]) -> str:
-    """The value fields of a line csv split, joined for numpy; ValueError,
-    worded as float()'s, for the first field float() rejects, else for one
-    that holds a line break, which float() skips as whitespace but numpy reads
-    as the end of a row."""
+def _value_text(fields: list[str]) -> str | ValueError:
+    """The value fields of a line csv split, joined for numpy; else the
+    ValueError, worded as float()'s, of the first field float() rejects, else
+    of one that holds a line break, which float() skips as whitespace but
+    numpy reads as the end of a row."""
     for field in fields:
-        float(field)
+        try:
+            float(field)
+        except ValueError as exc:
+            return exc
     for field in fields:
         if "\r" in field or "\n" in field:
-            raise ValueError(f"could not convert string to float: {field!r}")
+            return ValueError(f"could not convert string to float: {field!r}")
     return ",".join(fields)
 
 
-def _record(path: str | Path, lineno: int, text: str, width: int) -> tuple[str, int, str, str]:
+def _record(path: str | Path, lineno: int, text: str,
+            width: int) -> tuple[str, int, str, str | ValueError]:
     """(record id, label, system id, value text) of one data line of `width`
-    fields. The field count and the label are checked first, then, on a line
-    csv splits, the values; ParseError, with file:line, for any fault."""
+    fields; ParseError, with file:line, for a wrong field count or label. The
+    value text is a ValueError, for the block to raise, where it is empty or
+    float() rejects a field of a line csv split."""
     body = text.removesuffix("\n").removesuffix("\r")
     plain = body and not any(c in body for c in _CSV_CHARS)
     if plain:
@@ -343,11 +343,10 @@ def _record(path: str | Path, lineno: int, text: str, width: int) -> tuple[str, 
         label = int(fields[1])
         if label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {label}")
-        values = fields[3] if plain else _value_text(fields[3:])
-        if not values:
-            raise ValueError("could not convert string to float: ''")
     except ValueError as exc:
         raise ParseError(f"{path}:{lineno}: {exc}") from None
+    values = ((fields[3] if plain else _value_text(fields[3:]))
+              or ValueError("could not convert string to float: ''"))
     return fields[0], label, fields[2], values
 
 
@@ -379,16 +378,18 @@ def _bad_value(text: str) -> str:
             return f"could not convert string to float: {field!r}"
 
 
-def _block_values(path: str | Path, first: int, texts: list[str]) -> np.ndarray:
+def _block_values(path: str | Path, first: int, texts: list[str | ValueError]) -> np.ndarray:
     """The values of consecutive data lines, the first at line `first`, in one
     numpy call; when that fails, line by line, with a ParseError, with
-    file:line, for the first line numpy cannot read."""
+    file:line, for the first line with a ValueError or a text numpy rejects."""
     try:
         return _read_values(texts)
-    except ValueError:
+    except (TypeError, ValueError):  # numpy raises TypeError on a ValueError in `texts`
         pass
     rows = []
     for lineno, text in enumerate(texts, start=first):
+        if isinstance(text, ValueError):
+            raise ParseError(f"{path}:{lineno}: {text}")
         try:
             rows.append(_read_values([text]))
         except ValueError:
@@ -407,7 +408,7 @@ def read_feature_csv(path: str | Path) -> tuple[LabeledDataset, tuple[FeatureDes
     one numpy call, so a bad value is reported after the field count and label
     of every line in its block are checked."""
     with open(path, "rb") as fh:
-        lines = _decoded_lines(path, fh)
+        lines = decoded_lines(f"{path}:", fh)
         _, text = next(lines, (1, None))
         if text is None:
             raise ParseError(f"{path}:1: empty feature file")

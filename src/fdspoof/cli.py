@@ -75,8 +75,10 @@ def write_manifest(out_path: Path, command: str, config: dict,
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
+    with open(path, "rb") as fh:
+        lines = list(asvspoof.decoded_lines(f"{path}:", fh))
     values = {}
-    for lineno, line in enumerate(asvspoof.read_text(path, f"{path}:").splitlines(), start=1):
+    for lineno, line in lines:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -206,7 +206,7 @@ def _derivatives_batch(parts: tuple[np.ndarray, ...], ln_digits: np.ndarray,
 
 def _mse_batch(curves: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """mse over the last axis of curves against pmfs that broadcast to them;
-    the divergences' mse of a reported curve has the same bits."""
+    the fit's residuals and the divergences' mse both come from here."""
     r = curves - probs
     r *= r
     mse = np.add.reduce(r, -1)
@@ -445,7 +445,7 @@ def _divergences_batch(probs: np.ndarray, curves: np.ndarray, alpha: float,
     with 1 / (alpha - 1). The paper's abstract does not say which sign its Renyi
     term takes; this pinned formula is kept, so compare renyi by magnitude.
     """
-    mse = np.mean((probs - curves) ** 2, axis=1)
+    mse = _mse_batch(curves, probs)
 
     p = np.clip(probs, epsilon, None)
     p = p / p.sum(axis=1, keepdims=True)

@@ -227,22 +227,19 @@ def _tree_votes(tree: Tree, X: np.ndarray) -> np.ndarray:
     return (tree.counts[nodes, 1] > tree.counts[nodes, 0]).astype(np.int64)
 
 
-def _check_width(trees, X: np.ndarray) -> None:
-    """LayoutMismatch if any tree splits on a column X does not have."""
+def _vote_sums(trees, X: np.ndarray):
+    """Running spoof-vote sums per row of X: the n-th is the sum over the first
+    n trees, in one array updated in place. LayoutMismatch, before any tree
+    votes, if a tree splits on a column X does not have."""
     widest = max(int(tree.feature.max()) for tree in trees)
     if widest >= X.shape[1]:
         raise LayoutMismatch(
             f"model splits on feature {widest}, but the features have {X.shape[1]} columns"
         )
-
-
-def _votes(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    """Spoof votes per row of X, summed over the trees."""
-    _check_width(model.trees, X)
     votes = np.zeros(X.shape[0], dtype=np.int64)
-    for tree in model.trees:
+    for tree in trees:
         votes += _tree_votes(tree, X)
-    return votes
+        yield votes
 
 
 def _majority(votes: np.ndarray, n_trees: int) -> np.ndarray:
@@ -257,7 +254,8 @@ def predict_batch(model: TrainedModel, dataset: LabeledDataset) -> np.ndarray:
         raise LayoutMismatch(
             f"features layout {dataset.layout_hash} != model layout {model.layout_hash}"
         )
-    return _majority(_votes(model, dataset.features), len(model.trees))
+    *_, votes = _vote_sums(model.trees, dataset.features)
+    return _majority(votes, len(model.trees))
 
 
 def accuracy(model: TrainedModel, dataset: LabeledDataset) -> float:
@@ -316,10 +314,7 @@ def grid_search(
     best_trees: tuple[Tree, ...] = ()
     for shared, wanted in sizes.items():
         trees = train_forest(train, replace(shared, n_trees=max(wanted))).trees
-        _check_width(trees, dev.features)
-        votes = np.zeros(dev.n_records, dtype=np.int64)
-        for n, tree in enumerate(trees, start=1):
-            votes += _tree_votes(tree, dev.features)
+        for n, votes in enumerate(_vote_sums(trees, dev.features), start=1):
             if n in wanted:
                 scores[replace(shared, n_trees=n)] = float(
                     np.mean(_majority(votes, n) == dev.labels))

@@ -18,6 +18,16 @@ def wav_factory(tmp_path):
     return write
 
 
+def brute_force_first_digit(x, base):
+    """Oracle: repeatedly multiply/divide |x| into [1, base)."""
+    m = abs(x)
+    while m >= base:
+        m /= base
+    while m < 1.0:
+        m *= base
+    return int(m)
+
+
 def make_blobs(n_per_class=100, n_features=5, separation=5.0, seed=0):
     """Two gaussian blobs with draws truncated at 2 sigma.
 

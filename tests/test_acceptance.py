@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from conftest import make_blobs, make_filtered_clip
+from conftest import brute_force_first_digit, make_blobs, make_filtered_clip
 from fdspoof import asvspoof, audio_io, fd_features as fd, firsim, segmentation
 from fdspoof.asvspoof import ProtocolEntry, build_dataset
 from fdspoof.audio_io import AudioBuffer
@@ -35,15 +35,6 @@ def criterion(num, name):
         print(f"[criterion {num:>2}] FAIL  {name}")
         raise
     print(f"[criterion {num:>2}] PASS  {name}")
-
-
-def brute_force_first_digit(x, base):
-    m = abs(x)
-    while m >= base:
-        m /= base
-    while m < 1.0:
-        m *= base
-    return int(m)
 
 
 def test_criterion_1_first_digit_oracle_equivalence():

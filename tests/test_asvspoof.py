@@ -60,6 +60,30 @@ class TestParseProtocol:
         with pytest.raises(ParseError, match="line 2: not UTF-8"):
             parse_protocol(path)
 
+    def test_line_ends_only_at_line_feed(self, tmp_path):
+        # 0x1c ends a line for str.splitlines() but is whitespace inside one
+        path = tmp_path / "p.txt"
+        path.write_bytes(b"LA_0001 LA_T_1 - - bonafide\x1c\nLA_0002 LA_T_2 - - bogus\n")
+        with pytest.raises(ParseError, match="^line 2: unknown key 'bogus'$"):
+            parse_protocol(path)
+
+    def test_form_feed_separates_fields(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_bytes(b"LA_0001 LA_T_1\x0c - - bonafide\n")
+        assert parse_protocol(path) == [ProtocolEntry("LA_0001", "LA_T_1", None, "bonafide")]
+
+    def test_crlf_line_ends_are_accepted(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_bytes(b"S U1 - - bonafide\r\nS U2 - A01 spoof\r\n")
+        assert [e.utterance_id for e in parse_protocol(path)] == ["U1", "U2"]
+
+    def test_carriage_return_inside_a_line_has_number(self, tmp_path):
+        # split() would read both entries as one line with extra fields
+        path = tmp_path / "p.txt"
+        path.write_bytes(b"S U1 - - bonafide\rS U2 - A01 spoof\r")
+        with pytest.raises(ParseError, match="^line 1: "):
+            parse_protocol(path)
+
     def test_unknown_system_preserved(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("S U - A99 spoof\n")
@@ -302,6 +326,19 @@ class TestFeatureCsv:
         with pytest.raises(ParseError) as info:
             read_feature_csv(path)
         assert str(info.value) == f"{path}:2: could not convert string to float: '4.0\\n'"
+
+    @pytest.mark.parametrize("record_id", ['"a"', "a"])
+    def test_field_counts_are_checked_before_values_of_a_quoted_line(self, tmp_path,
+                                                                     record_id):
+        # csv splits the line with the quoted id; its bad value still waits
+        # for the field count of the next line in its block
+        layout = feature_layout(FdConfig(bases=(10,), deltas=(1.0,)), (2,))
+        path = tmp_path / "f.csv"
+        path.write_text("record_id,label,system_id," + ",".join(d.name for d in layout)
+                        + f"\n{record_id},0,-,x1,2,3,4\nb,1,A01,1,2,3\n")
+        with pytest.raises(ParseError) as info:
+            read_feature_csv(path)
+        assert str(info.value) == f"{path}:3: expected 7 fields, got 6"
 
     def many_rows(self, tmp_path, n):
         """A written feature CSV of n records, past the reader's first block:

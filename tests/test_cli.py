@@ -395,6 +395,18 @@ class TestRejectedInput:
         assert f"{conf}: no setting named 'alhpa'" in capsys.readouterr().err
         assert not (tmp_path / "f.csv").exists()
 
+    def test_config_line_ends_only_at_line_feed(self, cli_corpus, tmp_path, capsys):
+        # 0x0b ends a line for str.splitlines() but is whitespace inside one
+        _, protocol, audio_dir = cli_corpus
+        conf = tmp_path / "conf.txt"
+        conf.write_bytes(b"alpha=0.3\x0b\nhop\n")
+        code = cli.main(["extract", "--protocol", str(protocol), "--audio-root", str(audio_dir),
+                         "--segment", "full", "--out", str(tmp_path / "f.csv"),
+                         "--config", str(conf)])
+        assert code == 2
+        assert f"{conf}:2: expected key=value" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
+
     def test_undecodable_config_file_exits_2(self, cli_corpus, tmp_path, capsys):
         _, protocol, audio_dir = cli_corpus
         conf = tmp_path / "conf.txt"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import least_squares, lsq_linear
 
-from conftest import make_filtered_clip
+from conftest import brute_force_first_digit, make_filtered_clip
 from fdspoof import asvspoof, fd_features as fd, segmentation
 from fdspoof.audio_io import AudioBuffer, peak_normalize
 from fdspoof.cepstral import CepstralConfig, CepstralMatrix, mfcc
@@ -13,16 +13,6 @@ from fdspoof.exceptions import InsufficientDigits, SettingError
 from fdspoof.segmentation import EnergyConfig, SegmentKind
 
 MIN_DIGITS = fd.FdConfig().min_digits
-
-
-def brute_force_first_digit(x, base):
-    """Oracle: repeatedly multiply/divide |x| into [1, base)."""
-    m = abs(x)
-    while m >= base:
-        m /= base
-    while m < 1.0:
-        m *= base
-    return int(m)
 
 
 def oracle_divergences(p, q, alpha=0.3, epsilon=1e-10):
@@ -930,6 +920,13 @@ class TestDivergences:
             assert renyi == pytest.approx(renyi_s, rel=1e-12)
             assert tsallis == pytest.approx(tsallis_s, rel=1e-9)
             assert mse == pytest.approx(mse_s, rel=1e-12)
+
+    @pytest.mark.parametrize("base", [10, 20])
+    def test_mse_column_is_the_fit_residual(self, clip_pmfs, silence_pmfs, base):
+        for probs in (clip_pmfs[base], silence_pmfs[base]):
+            divs, _ = fd.fitted_divergences(probs, base, 0.3, 1e-10)
+            _, residual, _ = fd.fit_benford_batch(probs, base)
+            assert divs[:, 3].tobytes() == residual.tobytes()
 
     def test_package_matches_oracle_on_fitted_curve(self):
         rng = np.random.default_rng(7)

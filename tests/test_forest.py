@@ -373,6 +373,19 @@ class TestGridSearch:
         with pytest.raises(LayoutMismatch):
             grid_search(blobs, other)
 
+    def test_dev_without_a_split_column_is_rejected_before_scoring(self, blobs, monkeypatch):
+        # same layout hash, fewer columns than the forest splits on
+        config = ForestConfig(n_trees=10, seed=0)
+        widest = max(int(tree.feature.max()) for tree in train_forest(blobs, config).trees)
+        assert widest >= 1
+        dev = make_blobs(20, seed=77)
+        narrow = LabeledDataset(dev.features[:, :widest], dev.labels, dev.record_ids,
+                                blobs.layout_hash)
+        monkeypatch.setattr(forest, "_tree_votes", lambda *_: pytest.fail("a tree voted"))
+        with pytest.raises(LayoutMismatch, match=f"model splits on feature {widest}, "
+                                                 f"but the features have {widest} columns"):
+            grid_search(blobs, narrow, [config])
+
 
 class TestGridPrefixes:
     """grid_search scores prefixes of one forest per setting; it must return
