@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__, asvspoof, audio_io, firsim, segmentation
 from .cepstral import CepstralConfig
-from .exceptions import FdspoofError, LayoutMismatch, SettingError
+from .exceptions import FdspoofError, LayoutMismatch, ParseError, SettingError
 from .fd_features import DIVERGENCE_NAMES, FdConfig, feature_layout
 from .forest import (
     CRITERIA,
@@ -57,7 +57,11 @@ class RunManifest:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def write_manifest(out_path: Path, command: str, config: dict,
@@ -75,10 +79,14 @@ def write_manifest(out_path: Path, command: str, config: dict,
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
+    """key=value settings of a config or `.meta.txt` file; blank and `#`
+    lines are skipped, and a `\\r` inside a line is a ParseError."""
     with open(path, "rb") as fh:
         lines = list(asvspoof.decoded_lines(f"{path}:", fh))
     values = {}
     for lineno, line in lines:
+        if "\r" in line.rstrip():
+            raise ParseError(f"{path}:{lineno}: carriage return inside the line")
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -142,16 +143,30 @@ class TestExtract:
             assert a == Path(str(tmp_path / "b.csv") + suffix).read_bytes()
             assert b"cap" not in a
 
-    def test_import_leaves_scipy_signal_unloaded(self):
+    @staticmethod
+    def loaded_after_import(modules):
+        """Which of `modules` a fresh interpreter has loaded after `import fdspoof.cli`."""
         src = str(Path(fdspoof.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         done = subprocess.run(
             [sys.executable, "-c",
-             "import sys, fdspoof.cli; print('scipy.signal' in sys.modules)"],
+             f"import sys, fdspoof.cli; print([m for m in {modules!r} if m in sys.modules])"],
             env=env, capture_output=True, text=True, timeout=60,
         )
-        assert done.stdout.strip() == "False", done.stderr
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        assert self.loaded_after_import(["scipy.signal"]) == "[]"
+
+    def test_import_leaves_process_pools_unloaded(self):
+        assert self.loaded_after_import(["multiprocessing", "concurrent.futures"]) == "[]"
+
+    def test_sha256_of_a_multi_block_file(self, tmp_path):
+        path = tmp_path / "big.bin"
+        path.write_bytes(np.random.default_rng(0).bytes((1 << 20) * 2 + 12345))
+        assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestTrainEvaluate:
@@ -405,6 +420,17 @@ class TestRejectedInput:
                          "--config", str(conf)])
         assert code == 2
         assert f"{conf}:2: expected key=value" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_carriage_return_inside_config_line_exits_2(self, cli_corpus, tmp_path, capsys):
+        _, protocol, audio_dir = cli_corpus
+        conf = tmp_path / "conf.txt"
+        conf.write_bytes(b"alpha=0.3\r\nhop=512\ralpha=0.5\n")
+        code = cli.main(["extract", "--protocol", str(protocol), "--audio-root", str(audio_dir),
+                         "--segment", "full", "--out", str(tmp_path / "f.csv"),
+                         "--config", str(conf)])
+        assert code == 2
+        assert f"{conf}:2: carriage return inside the line" in capsys.readouterr().err
         assert not (tmp_path / "f.csv").exists()
 
     def test_undecodable_config_file_exits_2(self, cli_corpus, tmp_path, capsys):
