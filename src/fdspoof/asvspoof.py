@@ -69,11 +69,6 @@ class EvalRow:
     n_spoof: int
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    rows: tuple[EvalRow, ...]
-
-
 def decoded_lines(line_label: str, fh):
     """(line number, text) of every line of a binary file, decoded as UTF-8;
     a line ends at `\\n`, which its text keeps. ParseError
@@ -291,9 +286,14 @@ def write_feature_csv(path: str | Path, dataset: LabeledDataset,
 _BLOCK_LINES = 256
 
 # csv syntax, and the separators 0x1c-0x1f, which numpy's parser skips as
-# whitespace and float() rejects. A data line that holds one, or is empty, is
-# split by csv and its values checked by float().
+# whitespace. A data line that holds one, or is empty, is split by csv, and its
+# value fields are checked for separators (`_value_text`) before numpy reads them.
 _CSV_CHARS = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
+
+# What numpy's parser reads as the end of a value or of a row, or skips as
+# whitespace (0x1c-0x1f, which float() rejects): in a value field, one would
+# make numpy read other fields, rows or values than csv split.
+_SEPARATORS = frozenset(",\r\n\x1c\x1d\x1e\x1f")
 
 
 def _csv_fields(path: str | Path, lineno: int, text: str) -> list[str]:
@@ -308,18 +308,11 @@ def _csv_fields(path: str | Path, lineno: int, text: str) -> list[str]:
 
 
 def _value_text(fields: list[str]) -> str | ValueError:
-    """The value fields of a line csv split, joined for numpy; else the
-    ValueError, worded as float()'s, of the first field float() rejects, else
-    of one that holds a line break, which float() skips as whitespace but
-    numpy reads as the end of a row."""
-    for field in fields:
-        try:
-            float(field)
-        except ValueError as exc:
-            return exc
-    for field in fields:
-        if "\r" in field or "\n" in field:
-            return ValueError(f"could not convert string to float: {field!r}")
+    """The value fields of a line csv split, joined for numpy; else, where a
+    field holds a separator, the ValueError naming the line's first bad field
+    (`_bad_value`)."""
+    if any(not _SEPARATORS.isdisjoint(field) for field in fields):
+        return ValueError(_bad_value(fields))
     return ",".join(fields)
 
 
@@ -327,8 +320,8 @@ def _record(path: str | Path, lineno: int, text: str,
             width: int) -> tuple[str, int, str, str | ValueError]:
     """(record id, label, system id, value text) of one data line of `width`
     fields; ParseError, with file:line, for a wrong field count or label. The
-    value text is a ValueError, for the block to raise, where it is empty or
-    float() rejects a field of a line csv split."""
+    value text is a ValueError, for the block to raise, where it is empty or a
+    field of a line csv split holds a separator."""
     body = text.removesuffix("\n").removesuffix("\r")
     plain = body and not any(c in body for c in _CSV_CHARS)
     if plain:
@@ -360,41 +353,36 @@ def _read_values(texts: list[str]) -> np.ndarray:
     return values
 
 
-def _bad_value(text: str) -> str:
-    """Why numpy cannot read a line's value text, which it rejects, worded as
-    float()'s message: the first field float() rejects, else the first numpy
-    rejects, such as `1_0`, which float() reads as 10. numpy splits the text
-    at the same commas, so one of its fields is rejected alone."""
-    fields = text.split(",")
+def _bad_value(fields: list[str]) -> str:
+    """Why a line's value fields cannot be read, worded as float()'s message:
+    the first field that holds a separator or that numpy rejects on its own."""
     for field in fields:
-        try:
-            float(field)
-        except ValueError as exc:
-            return str(exc)
-    for field in fields:
-        try:
-            _read_values([field])
-        except ValueError:
-            return f"could not convert string to float: {field!r}"
+        if _SEPARATORS.isdisjoint(field):
+            try:
+                _read_values([field])
+                continue
+            except ValueError:
+                pass
+        return f"could not convert string to float: {field!r}"
 
 
 def _block_values(path: str | Path, first: int, texts: list[str | ValueError]) -> np.ndarray:
     """The values of consecutive data lines, the first at line `first`, in one
-    numpy call; when that fails, line by line, with a ParseError, with
-    file:line, for the first line with a ValueError or a text numpy rejects."""
+    numpy call; when that fails, a ParseError, with file:line, for the first
+    line with a ValueError or a text numpy rejects. Each text has the header's
+    number of fields and no separator inside one, so numpy rejects a block only
+    where it rejects one of its lines alone."""
     try:
         return _read_values(texts)
     except (TypeError, ValueError):  # numpy raises TypeError on a ValueError in `texts`
-        pass
-    rows = []
-    for lineno, text in enumerate(texts, start=first):
-        if isinstance(text, ValueError):
-            raise ParseError(f"{path}:{lineno}: {text}")
-        try:
-            rows.append(_read_values([text]))
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: {_bad_value(text)}") from None
-    return np.concatenate(rows)
+        for lineno, text in enumerate(texts, start=first):
+            if isinstance(text, ValueError):
+                raise ParseError(f"{path}:{lineno}: {text}") from None
+            try:
+                _read_values([text])
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: {_bad_value(text.split(','))}") from None
+        raise
 
 
 def read_feature_csv(path: str | Path) -> tuple[LabeledDataset, tuple[FeatureDescriptor, ...]]:
@@ -480,7 +468,7 @@ def _eval_row(system_id: str, segment_label: str, config_label: str, correct: np
 
 def evaluate_with_aggregate(
     model: TrainedModel, dataset: LabeledDataset, segment_label: str, config_label: str
-) -> EvaluationReport:
+) -> tuple[EvalRow, ...]:
     """One-vs-one rows for every spoof system, in sorted order, plus an `ALL` row.
 
     Every record is predicted once. A system's row scores all bonafide records
@@ -502,15 +490,15 @@ def evaluate_with_aggregate(
     n_spoof = int(np.sum(dataset.labels == 1))
     rows.append(_eval_row("ALL", segment_label, config_label, correct, dataset.labels,
                           dataset.n_records - n_spoof, n_spoof))
-    return EvaluationReport(rows=tuple(rows))
+    return tuple(rows)
 
 
-def write_report_csv(path: str | Path, report: EvaluationReport) -> None:
+def write_report_csv(path: str | Path, rows: tuple[EvalRow, ...]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["system", "segment", "config", "accuracy", "balanced_accuracy",
                          "n_bonafide", "n_spoof"])
-        for row in report.rows:
+        for row in rows:
             writer.writerow([row.system_id, row.segment_kind, row.config_name,
                              repr(row.accuracy), repr(row.balanced_accuracy),
                              row.n_bonafide, row.n_spoof])
@@ -571,7 +559,7 @@ def ablation_run(
     configs: tuple[AblationConfig, ...] | None = None,
     seed: int = 0,
     grid=None,
-) -> EvaluationReport:
+) -> tuple[EvalRow, ...]:
     """Grid search + one-vs-one evaluation rows, without `ALL`, for every
     ablation configuration.
 
@@ -589,6 +577,6 @@ def ablation_run(
         sub_train, _ = select_columns(train, layout, config.bases, config.deltas)
         sub_dev, _ = select_columns(dev, layout, config.bases, config.deltas)
         model, _ = grid_search(sub_train, sub_dev, grid or default_grid(seed), seed)
-        report = evaluate_with_aggregate(model, sub_dev, config.segment.value, config.name)
-        rows.extend(report.rows[:-1])
-    return EvaluationReport(rows=tuple(rows))
+        rows.extend(evaluate_with_aggregate(model, sub_dev, config.segment.value,
+                                            config.name)[:-1])
+    return tuple(rows)

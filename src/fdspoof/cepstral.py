@@ -102,9 +102,8 @@ def frame(buffer: AudioBuffer, config: CepstralConfig) -> np.ndarray:
         raise InsufficientData(
             f"{buffer.source_id}: {n} samples < one frame of {config.frame_len}"
         )
-    starts = np.arange(0, n - config.frame_len + 1, config.hop)
-    frames = np.lib.stride_tricks.sliding_window_view(buffer.samples, config.frame_len)[starts]
-    return frames * hann_window(config.frame_len)
+    frames = np.lib.stride_tricks.sliding_window_view(buffer.samples, config.frame_len)
+    return frames[::config.hop] * hann_window(config.frame_len)
 
 
 def mfcc(buffer: AudioBuffer, config: CepstralConfig = CepstralConfig()) -> CepstralMatrix:

@@ -16,7 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__, asvspoof, audio_io, firsim, segmentation
@@ -47,15 +47,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    version: str
-    seed: int | None
-    config: dict
-    input_hashes: dict[str, str]
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -66,13 +57,8 @@ def _sha256(path: Path) -> str:
 
 def write_manifest(out_path: Path, command: str, config: dict,
                    inputs: list[Path], seed: int | None = None) -> None:
-    doc = asdict(RunManifest(
-        command=command,
-        version=__version__,
-        seed=seed,
-        config=config,
-        input_hashes={str(p): _sha256(p) for p in inputs},
-    ))
+    doc = {"command": command, "version": __version__, "seed": seed, "config": config,
+           "input_hashes": {str(p): _sha256(p) for p in inputs}}
     Path(str(out_path) + ".manifest.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n"
     )
@@ -240,13 +226,13 @@ def cmd_evaluate(args) -> int:
             if expected is not None and (expected == "spoof") != bool(label):
                 raise FdspoofError(f"label mismatch for {record_id} against protocol")
     config_label = f"{model.config.n_trees}x{model.config.criterion}"
-    report = asvspoof.evaluate_with_aggregate(
+    rows = asvspoof.evaluate_with_aggregate(
         model, dataset, _segment_label_for(args.features), config_label
     )
-    asvspoof.write_report_csv(args.out, report)
+    asvspoof.write_report_csv(args.out, rows)
     write_manifest(Path(args.out), "evaluate", {"config": config_label},
                    [Path(args.model), Path(args.features)])
-    aggregate = report.rows[-1]
+    aggregate = rows[-1]
     print(f"evaluate: aggregate accuracy {aggregate.accuracy:.3f} -> {args.out}")
     return EXIT_OK
 
@@ -267,10 +253,10 @@ def cmd_ablate(args) -> int:
             inputs += [Path(train_path), Path(dev_path)]
     if not data:
         raise FdspoofError("ablate needs at least one segment's train/dev feature files")
-    report = asvspoof.ablation_run(data, seed=args.seed)
-    asvspoof.write_report_csv(args.out, report)
+    rows = asvspoof.ablation_run(data, seed=args.seed)
+    asvspoof.write_report_csv(args.out, rows)
     write_manifest(Path(args.out), "ablate", {"seed": args.seed}, inputs, seed=args.seed)
-    print(f"ablate: {len(report.rows)} rows -> {args.out}")
+    print(f"ablate: {len(rows)} rows -> {args.out}")
     return EXIT_OK
 
 

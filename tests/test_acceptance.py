@@ -277,7 +277,7 @@ def test_criterion_11_table_one_vs_one(corpus_models):
         sub_train, _ = asvspoof.select_columns(train_ds, layout, (10, 20), (1.0, 2.0, 3.0))
         sub_dev, _ = asvspoof.select_columns(dev_ds, layout, (10, 20), (1.0, 2.0, 3.0))
         model, _ = grid_search(sub_train, sub_dev, seed=0)
-        rows = asvspoof.evaluate_with_aggregate(model, sub_dev, "silence", "d1-3").rows[:-1]
+        rows = asvspoof.evaluate_with_aggregate(model, sub_dev, "silence", "d1-3")[:-1]
         by_id = {row.system_id: row.accuracy for row in rows}
         assert by_id["A02"] == pytest.approx(0.972, abs=0.05)
         assert by_id["A05"] == pytest.approx(0.964, abs=0.05)
@@ -303,7 +303,7 @@ def test_criterion_13_qualitative_orderings(corpus_models):
         def dev_mean_accuracy(kind):
             train_ds, dev_ds, _ = corpus_models[kind]
             model, _ = grid_search(train_ds, dev_ds, seed=0)
-            rows = asvspoof.evaluate_with_aggregate(model, dev_ds, "x", "x").rows[:-1]
+            rows = asvspoof.evaluate_with_aggregate(model, dev_ds, "x", "x")[:-1]
             return float(np.mean([r.accuracy for r in rows]))
 
         voiced = dev_mean_accuracy(SegmentKind.VOICED)
@@ -315,7 +315,7 @@ def test_criterion_13_qualitative_orderings(corpus_models):
         train_ds, _, eval_ds = corpus_models[SegmentKind.SILENCE]
         _, dev_ds, _ = corpus_models[SegmentKind.SILENCE]
         model, _ = grid_search(train_ds, dev_ds, seed=0)
-        rows = asvspoof.evaluate_with_aggregate(model, eval_ds, "x", "x").rows[:-1]
+        rows = asvspoof.evaluate_with_aggregate(model, eval_ds, "x", "x")[:-1]
         by_id = {r.system_id: r.accuracy for r in rows}
         vc = [by_id[s] for s in ("A17", "A18", "A19") if s in by_id]
         tts = [v for s, v in by_id.items() if s not in ("A17", "A18", "A19")]

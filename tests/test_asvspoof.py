@@ -340,6 +340,50 @@ class TestFeatureCsv:
             read_feature_csv(path)
         assert str(info.value) == f"{path}:3: expected 7 fields, got 6"
 
+    @pytest.mark.parametrize("lines,field", [
+        # csv keeps the comma inside the quoted field; numpy would split there
+        ('a,0,-,"1,2",3,4,5\n', "'1,2'"),
+        ('a,0,-,"1,2",3,4,5\nb,1,A01,1,2,3,4\n', "'1,2'"),
+        # the first bad field is named, though float() reads it as 10
+        ("a,0,-,1_0,x1,3,4\n", "'1_0'"),
+        # numpy skips 0x1c as whitespace; float() rejects it
+        ('"a",0,-,1.5\x1c,2,3,4\n', "'1.5\\x1c'"),
+    ])
+    def test_bad_value_names_the_first_bad_field(self, tmp_path, lines, field):
+        layout = feature_layout(FdConfig(bases=(10,), deltas=(1.0,)), (2,))
+        path = tmp_path / "f.csv"
+        path.write_text("record_id,label,system_id," + ",".join(d.name for d in layout)
+                        + "\n" + lines)
+        with pytest.raises(ParseError) as info:
+            read_feature_csv(path)
+        assert str(info.value) == f"{path}:2: could not convert string to float: {field}"
+
+    @pytest.mark.parametrize("record_id", ['"a"', "a"])
+    def test_value_with_any_ascii_character_is_read_as_float_reads_it(self, tmp_path,
+                                                                      record_id):
+        # numpy's parser is the value grammar; it differs from float() only on
+        # `_` between digits and on 0x1c-0x1f, which it skips as whitespace
+        layout = feature_layout(FdConfig(bases=(10,), deltas=(1.0,)), (2,))
+        path = tmp_path / "f.csv"
+        for c in map(chr, range(0x80)):
+            if c in ',"\n\r':
+                continue
+            for value in (c + "1.5", "1.5" + c, "1" + c + "5"):
+                path.write_text("record_id,label,system_id,"
+                                + ",".join(d.name for d in layout)
+                                + f"\n{record_id},0,-,{value},2,3,4\n", newline="")
+                try:
+                    want = [[float(value), 2.0, 3.0, 4.0]]
+                except ValueError:
+                    want = None
+                if c == "_" or "\x1c" <= c <= "\x1f":
+                    want = None
+                try:
+                    got = read_feature_csv(path)[0].features.tolist()
+                except ParseError:
+                    got = None
+                assert got == want, repr(value)
+
     def many_rows(self, tmp_path, n):
         """A written feature CSV of n records, past the reader's first block:
         random values of every magnitude among the writer's special values,
@@ -433,7 +477,7 @@ class TestEvaluation:
         data = synthetic_dataset(10, layout, seed=3)
         model = leaf_model(1, data.layout_hash)
         report = evaluate_with_aggregate(model, data, "full", "const")
-        for row in report.rows[:-1]:
+        for row in report[:-1]:
             assert row.accuracy == pytest.approx(row.n_spoof / (row.n_bonafide + row.n_spoof))
             assert row.balanced_accuracy == 0.5
 
@@ -443,10 +487,10 @@ class TestEvaluation:
         train = synthetic_dataset(12, layout, seed=5)
         model, _ = grid_search(train, data, [ForestConfig(n_trees=10, seed=0)])
         report = asvspoof.evaluate_with_aggregate(model, data, "full", "10xgini")
-        assert all(row.accuracy == 1.0 for row in report.rows)
-        assert report.rows[-1].system_id == "ALL"
-        assert report.rows[-1].n_bonafide == 12
-        assert report.rows[-1].n_spoof == 12
+        assert all(row.accuracy == 1.0 for row in report)
+        assert report[-1].system_id == "ALL"
+        assert report[-1].n_bonafide == 12
+        assert report[-1].n_spoof == 12
 
     def test_one_prediction_matches_stacked_per_system_predictions(self, monkeypatch):
         # noisy features so that the forest makes mistakes in every class;
@@ -474,7 +518,7 @@ class TestEvaluation:
             return predict_batch(model, dataset)
 
         monkeypatch.setattr(asvspoof, "predict_batch", counted)
-        rows = evaluate_with_aggregate(model, data, "silence", "7xgini").rows
+        rows = evaluate_with_aggregate(model, data, "silence", "7xgini")
         assert calls == [data.n_records]
         assert rows == stacked_eval(model, data, "silence", "7xgini")
         assert [r.system_id for r in rows] == ["A01", "A04", "A07", "A09", "ALL"]
@@ -515,12 +559,12 @@ class TestAblation:
         }
         report = asvspoof.ablation_run(data, grid=[ForestConfig(n_trees=10, seed=0)])
         # 8 configurations x 2 dev systems
-        assert len(report.rows) == 16
-        names = [row.config_name for row in report.rows]
+        assert len(report) == 16
+        names = [row.config_name for row in report]
         assert names.count("silence_d1") == 2
         assert names.count("full_d1-4") == 2
         assert names.count("voiced_d1-3") == 2
-        segments = {row.config_name: row.segment_kind for row in report.rows}
+        segments = {row.config_name: row.segment_kind for row in report}
         assert segments["full_d1-4"] == "full"
         assert segments["silence_b20"] == "silence"
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdspoof.audio_io import AudioBuffer
-from fdspoof.cepstral import CepstralConfig, frame, mfcc
+from fdspoof.cepstral import CepstralConfig, frame, hann_window, mfcc
 from fdspoof.exceptions import InsufficientData
 
 CFG = CepstralConfig()
@@ -68,6 +68,12 @@ def oracle_mfcc_frame(buffer, cfg=CFG):
     return np.array(coeffs[cfg.coeff_lo - 1 : cfg.coeff_hi])
 
 
+def indexed_frames(samples, cfg, starts):
+    """The frames at `starts`, each copied from its own slice and tapered."""
+    return np.array([samples[s:s + cfg.frame_len] * hann_window(cfg.frame_len)
+                     for s in starts])
+
+
 class TestFrame:
     def test_single_frame_boundary(self):
         frames = frame(buffer_of(np.ones(1024)), CFG)
@@ -76,11 +82,19 @@ class TestFrame:
     def test_hop_512(self):
         frames = frame(buffer_of(np.ones(2048)), CFG)
         assert frames.shape[0] == 3  # starts 0, 512, 1024
+        # the last frame ends exactly at the end of the buffer
+        samples = np.random.default_rng(3).normal(size=2048)
+        assert (frame(buffer_of(samples), CFG).tobytes()
+                == indexed_frames(samples, CFG, [0, 512, 1024]).tobytes())
 
     def test_hop_128(self):
         cfg = CepstralConfig(hop=128)
         frames = frame(buffer_of(np.ones(2048)), cfg)
         assert frames.shape[0] == 9  # starts 0..1024 step 128
+        # 127 samples past the last frame, too few for another
+        samples = np.random.default_rng(4).normal(size=2048 + 127)
+        assert (frame(buffer_of(samples), cfg).tobytes()
+                == indexed_frames(samples, cfg, range(0, 1025, 128)).tobytes())
 
     def test_too_short(self):
         with pytest.raises(InsufficientData):
