@@ -1,11 +1,11 @@
 """From-scratch random forest for the binary bonafide/spoof decision.
 
 CART-style greedy trees: at each node a seeded subset of features is drawn,
-candidate thresholds are the midpoints between consecutive sorted unique
-values, and the split maximizing impurity decrease (gini or entropy) wins;
-all candidate features of a node are sorted and scored in one vectorized call.
-Trees grow until pure, until no split leaves min_samples_leaf rows on both
-sides, or to max_depth.
+candidate thresholds lie between consecutive sorted unique values a < b (the
+midpoint, or a where the midpoint would round or overflow out of [a, b)), and
+the split maximizing impurity decrease (gini or entropy) wins; all candidate
+features of a node are sorted and scored in one vectorized call. Trees grow
+to full size (Breiman 2001): until every leaf is pure or has no cut.
 Each tree of a forest trains on an independent bootstrap seeded by
 (seed + tree_index), so any execution order produces the identical model, and
 a forest's first n trees are the n-tree forest with the same settings: the
@@ -50,11 +50,11 @@ class ForestConfig:
     criterion: str = "gini"
     features_per_split: int | None = None  # default floor(sqrt(n_features))
     seed: int = 0
-    max_depth: int | None = None
-    min_samples_leaf: int = 1
     bootstrap: bool = True
 
     def __post_init__(self) -> None:
+        if type(self.n_trees) is not int or type(self.seed) is not int:  # not bool either
+            raise SettingError("n_trees and seed must be integers")
         if self.n_trees < 1:
             raise SettingError("n_trees must be >= 1")
         if self.criterion not in CRITERIA:
@@ -76,13 +76,11 @@ class Tree:
     left: np.ndarray
     right: np.ndarray
     counts: np.ndarray  # n_nodes x 2: [n_class0, n_class1]
-    gain: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, dtype in (("feature", np.int64), ("threshold", np.float64),
-                            ("left", np.int64), ("right", np.int64),
-                            ("counts", np.int64), ("gain", np.float64)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        for f in fields(self):
+            dtype = np.float64 if f.name == "threshold" else np.int64
+            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=dtype))
 
 
 @dataclass(frozen=True)
@@ -103,16 +101,17 @@ def _impurity(counts0: np.ndarray, counts1: np.ndarray, total: np.ndarray, crite
     return -(e0 + e1)
 
 
-def _best_split(block: np.ndarray, y: np.ndarray, criterion: str, min_leaf: int):
-    """Best (column, threshold, gain) over the columns of one node's block, or None.
+def _best_split(block: np.ndarray, y: np.ndarray, criterion: str):
+    """Best (column, threshold) over the columns of one node's block, or None.
 
     `block` is the node's rows x candidate features and `y` the node's labels.
     Every column is sorted and scored at once: a cut after sorted position i
-    is valid where the value strictly increases there and both sides keep
-    `min_leaf` rows. Ties go to the first column, then the first cut, so the
-    winner is what scoring the columns one by one in order would pick. A cut
-    never falls inside a run of equal values, so the order of tied rows, and
-    with it the sort's kind, changes no count at a cut.
+    is valid where the value strictly increases there, from a to b; its
+    threshold t keeps a <= t < b, so `x <= t` sends exactly the scored rows
+    left. Ties go to the first column, then the first cut, so the winner is
+    what scoring the columns one by one in order would pick. A cut never falls
+    inside a run of equal values, so the order of tied rows, and with it the
+    sort's kind, changes no count at a cut.
     """
     m = block.shape[0]
     order = np.argsort(block, axis=0)
@@ -121,8 +120,6 @@ def _best_split(block: np.ndarray, y: np.ndarray, criterion: str, min_leaf: int)
     n_left = np.arange(1, m)[:, None]  # a cut after position i leaves i + 1 rows left
     n_right = m - n_left
     valid = xs[:-1] < xs[1:]
-    if min_leaf > 1:
-        valid &= (n_left >= min_leaf) & (n_right >= min_leaf)
     ones_left = ones[:-1]
     ones_right = ones[-1] - ones_left
     imp_left = _impurity(n_left - ones_left, ones_left, n_left, criterion)
@@ -135,8 +132,9 @@ def _best_split(block: np.ndarray, y: np.ndarray, criterion: str, min_leaf: int)
     column, cut = divmod(int(np.argmax(gain.T)), m - 1)
     if gain[cut, column] == -np.inf:
         return None
-    threshold = 0.5 * (xs[cut, column] + xs[cut + 1, column])
-    return column, float(threshold), float(gain[cut, column])
+    a, b = float(xs[cut, column]), float(xs[cut + 1, column])
+    threshold = 0.5 * (a + b)  # a float sum overflows to inf without a warning
+    return column, threshold if a <= threshold < b else a
 
 
 def _grow(data: LabeledDataset, config: ForestConfig, seed: int) -> Tree:
@@ -156,10 +154,9 @@ def _grow(data: LabeledDataset, config: ForestConfig, seed: int) -> Tree:
     left: list[int] = []
     right: list[int] = []
     counts: list[list[int]] = []
-    gain: list[float] = []
-    stack: list[tuple[np.ndarray, int, int, int]] = [(rows, 0, -1, 0)]
+    stack: list[tuple[np.ndarray, int, int]] = [(rows, -1, 0)]
     while stack:
-        node_rows, depth, parent, side = stack.pop()
+        node_rows, parent, side = stack.pop()
         node = len(feature)
         if parent >= 0:
             (left if side == 0 else right)[parent] = node
@@ -169,29 +166,24 @@ def _grow(data: LabeledDataset, config: ForestConfig, seed: int) -> Tree:
         left.append(-1)
         right.append(-1)
         counts.append([node_rows.size - ones, ones])
-        gain.append(0.0)
-
-        pure = ones == 0 or ones == node_rows.size
-        at_depth = config.max_depth is not None and depth >= config.max_depth
-        if pure or at_depth or node_rows.size < 2 * config.min_samples_leaf:
+        if ones == 0 or ones == node_rows.size:  # pure, so a 1-row node too
             continue
 
         candidates = rng.choice(X.shape[1], size=n_features_split, replace=False)
         # zero-gain splits are accepted (like sklearn): XOR-style data needs a
         # neutral first cut before any purity shows up; recursion still ends
         # because both sides are strictly smaller
-        found = _best_split(X[np.ix_(node_rows, candidates)], y[node_rows],
-                            config.criterion, config.min_samples_leaf)
+        found = _best_split(X[np.ix_(node_rows, candidates)], y[node_rows], config.criterion)
         if found is None:
             continue
 
-        column, threshold[node], gain[node] = found
+        column, threshold[node] = found
         feature[node] = int(candidates[column])
         mask = X[node_rows, feature[node]] <= threshold[node]
         # push right first so the left child is grown (and numbered) first
-        stack.append((node_rows[~mask], depth + 1, node, 1))
-        stack.append((node_rows[mask], depth + 1, node, 0))
-    return Tree(feature, threshold, left, right, counts, gain)
+        stack.append((node_rows[~mask], node, 1))
+        stack.append((node_rows[mask], node, 0))
+    return Tree(feature, threshold, left, right, counts)
 
 
 def _resolve_features_per_split(config: ForestConfig, n_features: int) -> int:
@@ -330,7 +322,7 @@ def grid_search(
 # persistence
 # ---------------------------------------------------------------------------
 
-MODEL_FORMAT = "fdspoof-forest-v1"
+MODEL_FORMAT = "fdspoof-forest-v2"
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
@@ -344,12 +336,18 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
-def _check_tree(tree: Tree, where: str) -> None:
-    """ParseError unless the node arrays form a tree `_grow` could have built."""
+def _checked_tree(nodes: dict[str, np.ndarray], where: str) -> Tree:
+    """The tree of a document's node arrays; ParseError unless they hold JSON
+    integers (numbers in `threshold`) and form a tree `_grow` could have built."""
+    for name, values in nodes.items():
+        kinds, what = ("if", "numbers") if name == "threshold" else ("i", "integers")
+        if values.dtype.kind not in kinds:
+            raise ParseError(f"{where}: {name} must hold {what}")
+    tree = Tree(**nodes)
     n = tree.feature.shape[0] if tree.feature.ndim == 1 else 0
     if n == 0:
         raise ParseError(f"{where}: feature must be a non-empty list of nodes")
-    for name in ("threshold", "left", "right", "gain"):
+    for name in ("threshold", "left", "right"):
         if getattr(tree, name).shape != (n,):
             raise ParseError(f"{where}: {name} does not have one entry per node ({n})")
     if tree.counts.shape != (n, 2) or np.any(tree.counts < 0):
@@ -361,6 +359,7 @@ def _check_tree(tree: Tree, where: str) -> None:
         raise ParseError(f"{where}: children must both be -1 or both lie in (node, {n})")
     if not np.all(np.where(leaf, tree.feature == -1, tree.feature >= 0)):
         raise ParseError(f"{where}: feature must be -1 at leaves and >= 0 elsewhere")
+    return tree
 
 
 def load_model(path: str | Path) -> TrainedModel:
@@ -372,15 +371,14 @@ def load_model(path: str | Path) -> TrainedModel:
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: not a JSON model file")
     if doc.get("format") != MODEL_FORMAT:
-        raise LayoutMismatch(f"unknown model format {doc.get('format')!r}")
+        raise LayoutMismatch(f"unknown model format {doc.get('format')!r}; retrain the model")
     try:
         config = ForestConfig(**doc["config"])
-        trees = tuple(Tree(**{f.name: t[f.name] for f in fields(Tree)}) for t in doc["trees"])
+        docs = [{f.name: np.asarray(t[f.name]) for f in fields(Tree)} for t in doc["trees"]]
         layout = doc["layout_hash"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model: {type(exc).__name__}: {exc}") from None
-    if len(trees) != config.n_trees:
-        raise ParseError(f"{path}: {len(trees)} trees, but config n_trees is {config.n_trees}")
-    for i, tree in enumerate(trees):
-        _check_tree(tree, f"{path}: tree {i}")
+    if len(docs) != config.n_trees:
+        raise ParseError(f"{path}: {len(docs)} trees, but config n_trees is {config.n_trees}")
+    trees = tuple(_checked_tree(nodes, f"{path}: tree {i}") for i, nodes in enumerate(docs))
     return TrainedModel(trees=trees, config=config, layout_hash=layout)

@@ -30,7 +30,7 @@ from test_forest import grid_by_cells
 def leaf_model(label, layout_hash_value):
     counts = [0, 1] if label == 1 else [1, 0]
     tree = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1],
-                counts=[counts], gain=[0.0])
+                counts=[counts])
     return TrainedModel((tree,), ForestConfig(n_trees=1), layout_hash_value)
 
 

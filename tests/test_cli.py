@@ -14,7 +14,7 @@ from fdspoof import audio_io, cli, fd_features, firsim, forest
 from fdspoof.asvspoof import write_feature_csv
 from fdspoof.fd_features import FdConfig, feature_layout, layout_hash
 from fdspoof.forest import LabeledDataset
-from test_forest import three_node_doc
+from test_forest import three_node_doc, v1_doc
 
 
 @pytest.fixture(scope="module")
@@ -573,7 +573,17 @@ class TestRejectedInput:
         model = self.model_for(features, tmp_path, feature=[415, -1, -1])
         assert self.evaluate(model, features, tmp_path) == 0
 
-    @pytest.mark.parametrize("text", ["{not json", '{"format": "fdspoof-forest-v1"}'])
+    def test_first_format_model_exits_65_asking_to_retrain(self, extracted, tmp_path, capsys):
+        _, features = extracted
+        doc = v1_doc()
+        doc["layout_hash"] = layout_hash(feature_layout(FdConfig(), tuple(range(2, 15))))
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert self.evaluate(model, features, tmp_path) == 65
+        assert "retrain" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("text", ["{not json", '{"format": "fdspoof-forest-v2"}'])
     def test_unreadable_model_exits_2(self, extracted, tmp_path, text):
         _, features = extracted
         model = tmp_path / "model.json"

@@ -49,8 +49,10 @@ def predict(model, features):
     return (1 if score > 0.5 else 0), score
 
 
-def split_one_feature(x, y, criterion, min_leaf):
-    """Reference split search over one feature: best (threshold, gain), or None."""
+def split_one_feature(x, y, criterion):
+    """Reference split search over one feature: best (threshold, gain), or None.
+    The threshold is the midpoint of the cut's values a < b, or a where the
+    midpoint falls outside [a, b)."""
     order = np.argsort(x, kind="stable")
     xs = x[order]
     ys = y[order]
@@ -60,11 +62,6 @@ def split_one_feature(x, y, criterion, min_leaf):
         return None
     n_left = cut + 1
     n_right = n - n_left
-    if min_leaf > 1:
-        ok = (n_left >= min_leaf) & (n_right >= min_leaf)
-        cut, n_left, n_right = cut[ok], n_left[ok], n_right[ok]
-        if cut.size == 0:
-            return None
     ones = np.cumsum(ys)
     ones_left = ones[cut]
     ones_right = ones[-1] - ones_left
@@ -75,8 +72,9 @@ def split_one_feature(x, y, criterion, min_leaf):
                            np.array([n]), criterion)[0]
     gain = imp_parent - (n_left * imp_left + n_right * imp_right) / n
     best = int(np.argmax(gain))
-    threshold = 0.5 * (xs[cut[best]] + xs[cut[best] + 1])
-    return float(threshold), float(gain[best])
+    a, b = float(xs[cut[best]]), float(xs[cut[best] + 1])
+    threshold = 0.5 * (a + b)
+    return (threshold if a <= threshold < b else a), float(gain[best])
 
 
 def grow_by_feature(data, config, seed, bootstrap):
@@ -89,10 +87,10 @@ def grow_by_feature(data, config, seed, bootstrap):
     if bootstrap:
         rows = np.sort(np.random.default_rng(seed).integers(0, n, size=n))
     rng = np.random.default_rng(seed)
-    feature, threshold, left, right, counts, gain = [], [], [], [], [], []
-    stack = [(rows, 0, -1, 0)]
+    feature, threshold, left, right, counts = [], [], [], [], []
+    stack = [(rows, -1, 0)]
     while stack:
-        node_rows, depth, parent, side = stack.pop()
+        node_rows, parent, side = stack.pop()
         node = len(feature)
         if parent >= 0:
             (left if side == 0 else right)[parent] = node
@@ -102,25 +100,21 @@ def grow_by_feature(data, config, seed, bootstrap):
         left.append(-1)
         right.append(-1)
         counts.append([node_rows.size - ones, ones])
-        gain.append(0.0)
-        pure = ones == 0 or ones == node_rows.size
-        at_depth = config.max_depth is not None and depth >= config.max_depth
-        if pure or at_depth or node_rows.size < 2 * config.min_samples_leaf:
+        if ones == 0 or ones == node_rows.size:
             continue
         best_gain, best_feature, best_threshold = -np.inf, -1, 0.0
         for f in rng.choice(X.shape[1], size=n_split, replace=False):
-            found = split_one_feature(X[node_rows, f], y[node_rows], config.criterion,
-                                      config.min_samples_leaf)
+            found = split_one_feature(X[node_rows, f], y[node_rows], config.criterion)
             if found is not None and found[1] > best_gain:
                 best_threshold, best_gain = found
                 best_feature = int(f)
         if best_feature < 0:
             continue
-        feature[node], threshold[node], gain[node] = best_feature, best_threshold, best_gain
+        feature[node], threshold[node] = best_feature, best_threshold
         mask = X[node_rows, best_feature] <= best_threshold
-        stack.append((node_rows[~mask], depth + 1, node, 1))
-        stack.append((node_rows[mask], depth + 1, node, 0))
-    return Tree(feature, threshold, left, right, counts, gain)
+        stack.append((node_rows[~mask], node, 1))
+        stack.append((node_rows[mask], node, 0))
+    return Tree(feature, threshold, left, right, counts)
 
 
 def assert_same_tree(tree, reference):
@@ -161,11 +155,6 @@ def one_tree(data, config, seed):
     return train_forest(data, replace(config, n_trees=1, bootstrap=False, seed=seed)).trees[0]
 
 
-def gini_of(counts):
-    total = sum(counts)
-    return 1.0 - sum((c / total) ** 2 for c in counts)
-
-
 class TestTrainTree:
     def test_forced_split(self):
         data = dataset_of([[0.0], [1.0]], [0, 1])
@@ -186,54 +175,51 @@ class TestTrainTree:
         preds = [walk_tree(tree, row) for row in data.features]
         assert preds == [0, 1, 1, 0]
 
-    def test_max_depth_respected(self):
-        data = make_blobs(50)
-        tree = one_tree(data, ForestConfig(max_depth=0), seed=0)
-        assert len(tree.feature) == 1  # root forced to be a leaf
-
     def test_empty_rejected(self):
         data = dataset_of(np.zeros((0, 2)), np.zeros(0, dtype=int))
         with pytest.raises(EmptyDataset):
             one_tree(data, ForestConfig(), seed=0)
 
-    def test_gain_recomputed_from_child_counts(self):
-        data = make_blobs(60, seed=2)
-        tree = one_tree(data, ForestConfig(criterion="gini", features_per_split=5), 7)
-        for node in range(len(tree.feature)):
-            if tree.left[node] == -1:
-                continue
-            parent = tree.counts[node]
-            left = tree.counts[tree.left[node]]
-            right = tree.counts[tree.right[node]]
-            n, nl, nr = sum(parent), sum(left), sum(right)
-            recomputed = gini_of(parent) - (nl * gini_of(left) + nr * gini_of(right)) / n
-            assert recomputed == pytest.approx(tree.gain[node], abs=1e-12)
-            assert tree.gain[node] >= 0.0
+    @pytest.mark.parametrize("values,labels", [
+        ([1 + 2**-52, 1 + 2**-51], [0, 1]),  # adjacent floats: the midpoint rounds up to b
+        ([1e308, 1.5e308, 1.6e308, 1.7e308], [0, 0, 1, 1]),  # the sum overflows to inf
+    ])
+    def test_threshold_stays_below_the_upper_value(self, values, labels):
+        # a threshold at or above b sends every row left, and the node then
+        # splits the same rows forever; check the split before growing a tree
+        block, y = np.array(values)[:, None], np.array(labels)
+        a, b = values[labels.index(1) - 1], values[labels.index(1)]
+        column, threshold = forest._best_split(block, y, "gini")
+        assert column == 0 and a <= threshold < b
+        tree = one_tree(dataset_of(block, labels), ForestConfig(features_per_split=1), seed=0)
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert tree.threshold[0] == a
+        zeros, ones = labels.count(0), labels.count(1)
+        assert tree.counts.tolist() == [[zeros, ones], [zeros, 0], [0, ones]]
 
 
 class TestSplitOracle:
-    @pytest.mark.parametrize("criterion,min_leaf,max_depth,bootstrap,per_split",
+    @pytest.mark.parametrize("criterion,seed,offset,bootstrap,per_split",
                              list(itertools.product(CRITERIA, (1, 3), (None, 4),
                                                     (True, False), (1, None))))
-    def test_forest_matches_per_feature_search(self, criterion, min_leaf, max_depth,
-                                               bootstrap, per_split):
-        data = tied_data(seed=min_leaf + (max_depth or 0))
+    def test_forest_matches_per_feature_search(self, criterion, seed, offset, bootstrap,
+                                               per_split):
+        data = tied_data(seed=seed + (offset or 0))  # data seeds 1, 3, 5 and 7
         config = ForestConfig(n_trees=4, criterion=criterion, features_per_split=per_split,
-                              seed=11, max_depth=max_depth, min_samples_leaf=min_leaf,
-                              bootstrap=bootstrap)
+                              seed=11, bootstrap=bootstrap)
         model = train_forest(data, config)
         for t, tree in enumerate(model.trees):
             assert_same_tree(tree, grow_by_feature(data, config, 11 + t, bootstrap))
         # the grid is only worth checking if it splits at all
         assert max(len(tree.feature) for tree in model.trees) > 1
 
-    @pytest.mark.parametrize("criterion,min_leaf,step",
+    @pytest.mark.parametrize("criterion,seed,step",
                              list(itertools.product(CRITERIA, (1, 3), (None, 0.1, 0.5))))
-    def test_default_sort_grows_the_stable_sort_model(self, monkeypatch, criterion, min_leaf,
+    def test_default_sort_grows_the_stable_sort_model(self, monkeypatch, criterion, seed,
                                                       step):
         # a cut falls only where the sorted value strictly increases, so the
         # order of tied rows cannot change a model byte
-        rng = np.random.default_rng(29)
+        rng = np.random.default_rng(seed)
         features = rng.normal(0.0, 1.0, (200, 12))
         if step is not None:
             features = np.round(features / step) * step
@@ -243,7 +229,7 @@ class TestSplitOracle:
         noise = rng.normal(0.0, 1.0, 200)
         labels = (features[:, 0] + features[:, 1] * features[:, 2] + noise > 0).astype(int)
         data = dataset_of(features, labels)
-        config = ForestConfig(n_trees=4, criterion=criterion, min_samples_leaf=min_leaf, seed=5)
+        config = ForestConfig(n_trees=4, criterion=criterion, seed=5)
         grown = train_forest(data, config)
         argsort, stable_calls = np.argsort, []
 
@@ -257,16 +243,12 @@ class TestSplitOracle:
         for tree, reference in zip(grown.trees, stable.trees, strict=True):
             assert_same_tree(tree, reference)
 
-    @pytest.mark.parametrize("features,labels,min_leaf,counts", [
-        ([[1.0, 2.0]] * 4, [0, 1, 0, 1], 1, [2, 2]),  # constant columns: no cut at all
-        ([[0.0]] * 4 + [[1.0]] * 2, [0, 1, 0, 1, 1, 0], 3, [3, 3]),  # only a 4 | 2 cut
-    ])
-    def test_node_without_a_cut_is_a_leaf(self, features, labels, min_leaf, counts):
-        data = dataset_of(features, labels)
-        config = ForestConfig(min_samples_leaf=min_leaf)
+    def test_node_without_a_cut_is_a_leaf(self):
+        data = dataset_of([[1.0, 2.0]] * 4, [0, 1, 0, 1])  # constant columns: no cut at all
+        config = ForestConfig()
         tree = one_tree(data, config, seed=0)
         assert tree.feature.tolist() == [-1]
-        assert tree.counts.tolist() == [counts]
+        assert tree.counts.tolist() == [[2, 2]]
         assert_same_tree(tree, grow_by_feature(data, config, 0, bootstrap=False))
 
 
@@ -295,7 +277,7 @@ class TestPredict:
     def leaf_tree(self, label):
         counts = [0, 1] if label == 1 else [1, 0]
         return Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1],
-                    counts=[counts], gain=[0.0])
+                    counts=[counts])
 
     def test_unanimous(self):
         model = TrainedModel((self.leaf_tree(1), self.leaf_tree(1)), ForestConfig(n_trees=2), "h")
@@ -338,7 +320,7 @@ class TestPredict:
 
     def test_feature_index_beyond_width_is_layout_mismatch(self):
         tree = Tree(feature=[3, -1, -1], threshold=[0.0, 0.0, 0.0], left=[1, -1, -1],
-                    right=[2, -1, -1], counts=[[1, 1], [1, 0], [0, 1]], gain=[0.5, 0.0, 0.0])
+                    right=[2, -1, -1], counts=[[1, 1], [1, 0], [0, 1]])
         model = TrainedModel((tree,), ForestConfig(n_trees=1), "h")
         with pytest.raises(LayoutMismatch, match="feature 3"):
             predict_batch(model, dataset_of(np.zeros((2, 3)), [0, 1]))
@@ -460,18 +442,37 @@ class TestPersistence:
         save_model(b, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_file_holds_only_the_node_arrays_a_reader_reads(self, tmp_path, blobs):
+        save_model(train_forest(blobs, ForestConfig(n_trees=3, seed=6)), tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        assert doc["format"] == "fdspoof-forest-v2"
+        assert set(doc["config"]) == {"n_trees", "criterion", "features_per_split", "seed",
+                                      "bootstrap"}
+        for tree in doc["trees"]:
+            assert list(tree) == ["feature", "threshold", "left", "right", "counts"]
+
 
 def three_node_doc():
     """A valid one-tree model document: a root split and two leaves."""
     return {
-        "format": "fdspoof-forest-v1",
+        "format": "fdspoof-forest-v2",
         "config": {"n_trees": 1, "criterion": "gini", "features_per_split": None, "seed": 0,
-                   "max_depth": None, "min_samples_leaf": 1, "bootstrap": True},
+                   "bootstrap": True},
         "layout_hash": "h",
         "trees": [{"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
                    "left": [1, -1, -1], "right": [2, -1, -1],
-                   "counts": [[1, 1], [1, 0], [0, 1]], "gain": [0.5, 0.0, 0.0]}],
+                   "counts": [[1, 1], [1, 0], [0, 1]]}],
     }
+
+
+def v1_doc():
+    """`three_node_doc` as the first model format wrote it, with per-node gains
+    and two more config keys."""
+    doc = three_node_doc()
+    doc["format"] = "fdspoof-forest-v1"
+    doc["config"].update(max_depth=None, min_samples_leaf=1)
+    doc["trees"][0]["gain"] = [0.5, 0.0, 0.0]
+    return doc
 
 
 class TestModelValidation:
@@ -484,6 +485,17 @@ class TestModelValidation:
         model = load_model(self.write(tmp_path, three_node_doc()))
         assert predict(model, np.array([0.0]))[0] == 0
         assert predict(model, np.array([1.0]))[0] == 1
+
+    def test_integer_thresholds_load(self, tmp_path):
+        doc = three_node_doc()
+        doc["trees"][0]["threshold"] = [0, 0, 0]
+        model = load_model(self.write(tmp_path, doc))
+        assert model.trees[0].threshold.dtype == np.float64
+        assert predict(model, np.array([0.0]))[0] == 0
+
+    def test_v1_document_asks_for_retraining(self, tmp_path):
+        with pytest.raises(LayoutMismatch, match="'fdspoof-forest-v1'; retrain"):
+            load_model(self.write(tmp_path, v1_doc()))
 
     @pytest.mark.parametrize("nodes", [
         {"feature": [0, 0, -1], "left": [1, 0, -1], "right": [2, 2, -1]},  # cycle
@@ -498,7 +510,11 @@ class TestModelValidation:
         {"feature": [0, 2, -1]},  # leaf with a feature
         {"feature": [-2, -1, -1]},
         {"feature": [0, -1, "x"]},
-        {"feature": [], "threshold": [], "left": [], "right": [], "counts": [], "gain": []},
+        {"feature": [], "threshold": [], "left": [], "right": [], "counts": []},
+        {"feature": [0.7, -1, -1]},  # JSON numbers that are not integers
+        {"left": [1.9, -1, -1]},
+        {"counts": [[1, 1], [1, 0], [-0.5, 1]]},
+        {"threshold": ["0.5", 0.0, 0.0]},  # a JSON string
     ])
     def test_malformed_tree_rejected(self, tmp_path, nodes):
         doc = three_node_doc()
@@ -507,7 +523,7 @@ class TestModelValidation:
             load_model(self.write(tmp_path, doc))
 
     @pytest.mark.parametrize("mutate", [
-        lambda doc: doc["trees"][0].pop("gain"),
+        lambda doc: doc["trees"][0].pop("counts"),
         lambda doc: doc.pop("layout_hash"),
         lambda doc: doc.pop("trees"),
         lambda doc: doc["config"].update(n_trees=2),
@@ -515,6 +531,11 @@ class TestModelValidation:
         lambda doc: doc["config"].update(criterion="x"),
         lambda doc: doc["config"].update(depth=3),
         lambda doc: doc.update(trees=[[0, 1]]),
+        lambda doc: doc["config"].update(n_trees=True),
+        lambda doc: doc["config"].update(n_trees=1.0),
+        lambda doc: doc["config"].update(seed="x"),
+        lambda doc: doc["config"].update(seed=True),
+        lambda doc: doc["config"].update(max_depth=None),  # a key of the first format
     ])
     def test_malformed_document_rejected(self, tmp_path, mutate):
         doc = three_node_doc()
