@@ -30,6 +30,7 @@ from .exceptions import (
     FdspoofError,
     InsufficientData,
     InsufficientDigits,
+    LayoutMismatch,
     MissingAudio,
     ParseError,
     SettingError,
@@ -516,9 +517,10 @@ class AblationConfig:
     deltas: tuple[float, ...]
 
 
-def default_ablation_configs(fd_cfg: FdConfig = FdConfig()) -> tuple[AblationConfig, ...]:
-    """The eight standard rows: delta prefixes and single bases on Silence,
-    the full grid on Full, and the delta 1-3 prefix on Voiced."""
+def default_ablation_configs() -> tuple[AblationConfig, ...]:
+    """The eight standard rows, over the default `FdConfig` grid: delta prefixes
+    and single bases on Silence, the full grid on Full, the d1-3 prefix on Voiced."""
+    fd_cfg = FdConfig()
     deltas = tuple(sorted(fd_cfg.deltas))
     bases = tuple(sorted(fd_cfg.bases))
     configs = [
@@ -534,48 +536,54 @@ def default_ablation_configs(fd_cfg: FdConfig = FdConfig()) -> tuple[AblationCon
     return tuple(configs)
 
 
+def _row_columns(layout: tuple[FeatureDescriptor, ...], config: AblationConfig) -> list[int]:
+    """The layout columns of one ablation row; LayoutMismatch, naming the row,
+    if any (base, step) pair it asks for has no column."""
+    present = {(d.base, d.delta) for d in layout}
+    missing = [f"({b}, {s:g})" for b in config.bases for s in config.deltas
+               if (b, s) not in present]
+    if missing:
+        raise LayoutMismatch(f"ablation row {config.name} needs (base, step) "
+                             f"{', '.join(missing)}, which the features lack; extract "
+                             "them with the default bases and steps")
+    return [i for i, d in enumerate(layout) if d.base in config.bases and d.delta in config.deltas]
+
+
 def select_columns(
     dataset: LabeledDataset,
     layout: tuple[FeatureDescriptor, ...],
-    bases: tuple[int, ...],
-    deltas: tuple[float, ...],
+    config: AblationConfig,
 ) -> tuple[LabeledDataset, tuple[FeatureDescriptor, ...]]:
-    """Column subset by layout descriptor (base and delta membership)."""
-    keep = [i for i, d in enumerate(layout) if d.base in bases and d.delta in deltas]
+    """The dataset and layout cut down to one ablation row's columns."""
+    keep = _row_columns(layout, config)
     sub_layout = tuple(layout[i] for i in keep)
-    sub = LabeledDataset(
-        features=dataset.features[:, keep],
-        labels=dataset.labels,
-        record_ids=dataset.record_ids,
-        layout_hash=fd_features.layout_hash(sub_layout),
-        system_ids=dataset.system_ids,
-    )
-    return sub, sub_layout
+    return replace(dataset, features=dataset.features[:, keep],
+                   layout_hash=fd_features.layout_hash(sub_layout)), sub_layout
 
 
 def ablation_run(
     data_by_segment: dict[SegmentKind, tuple[LabeledDataset, LabeledDataset,
                                              tuple[FeatureDescriptor, ...]]],
-    configs: tuple[AblationConfig, ...] | None = None,
     seed: int = 0,
     grid=None,
 ) -> tuple[EvalRow, ...]:
     """Grid search + one-vs-one evaluation rows, without `ALL`, for every
-    ablation configuration.
+    default ablation row whose segment has data.
 
     `data_by_segment` maps a segment kind to (train, dev, layout) built from the
-    full feature grid; each configuration selects columns from those files, so
-    differences between rows come from the features alone. Each configuration
-    gets its own independent grid search.
+    full feature grid; each row selects columns from those files, so
+    differences between rows come from the features alone. Each row gets its
+    own independent grid search. LayoutMismatch, before any tree grows, if a
+    row's columns are missing.
     """
-    configs = configs or default_ablation_configs()
+    configs = [c for c in default_ablation_configs() if c.segment in data_by_segment]
+    for config in configs:
+        _row_columns(data_by_segment[config.segment][2], config)
     rows: list[EvalRow] = []
     for config in configs:
-        if config.segment not in data_by_segment:
-            continue
         train, dev, layout = data_by_segment[config.segment]
-        sub_train, _ = select_columns(train, layout, config.bases, config.deltas)
-        sub_dev, _ = select_columns(dev, layout, config.bases, config.deltas)
+        sub_train, _ = select_columns(train, layout, config)
+        sub_dev, _ = select_columns(dev, layout, config)
         model, _ = grid_search(sub_train, sub_dev, grid or default_grid(seed), seed)
         rows.extend(evaluate_with_aggregate(model, sub_dev, config.segment.value,
                                             config.name)[:-1])

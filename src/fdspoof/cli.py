@@ -249,6 +249,9 @@ def cmd_ablate(args) -> int:
         if train_path and dev_path:
             train_ds, layout = asvspoof.read_feature_csv(train_path)
             dev_ds, _ = asvspoof.read_feature_csv(dev_path)
+            if dev_ds.layout_hash != train_ds.layout_hash:  # both are cut by `layout`
+                raise LayoutMismatch(f"{kind.value}: train layout {train_ds.layout_hash} "
+                                     f"!= dev layout {dev_ds.layout_hash}")
             data[kind] = (train_ds, dev_ds, layout)
             inputs += [Path(train_path), Path(dev_path)]
     if not data:

@@ -1,10 +1,11 @@
 """FIR-filter simulation: how filter length shapes first-digit statistics.
 
 A seeded Gaussian i.i.d. signal is pushed through an equiripple low-pass FIR
-(passband edge 0.2, stopband edge 0.7, both normalized to Nyquist), MFCC
-coefficients are extracted, and the symmetrized KL divergence between the
-empirical digit pmf and its fitted generalized Benford curve is averaged over
-trials for every (filter length, quantization step, frequency) cell.
+(band edges `PASSBAND_EDGE` = 0.2 and `STOPBAND_EDGE` = 0.7, normalized to
+Nyquist and the same for every filter length), MFCC coefficients are
+extracted, and the symmetrized KL divergence between the empirical digit pmf
+and its fitted generalized Benford curve is averaged over trials for every
+(filter length, quantization step, frequency) cell.
 
 Design note: for this very wide transition band the true equiripple deviation
 falls below float64 resolution somewhere around 48 taps (the optimal ripple at
@@ -38,19 +39,8 @@ from .fd_features import divergences, fit_benford  # noqa: F401
 
 REMEZ_MAX_ITER = 50
 SWEEP_BASE = 10
-
-
-@dataclass(frozen=True)
-class FirDesignSpec:
-    n_coeffs: int
-    passband_edge: float = 0.2
-    stopband_edge: float = 0.7
-
-    def __post_init__(self) -> None:
-        if self.n_coeffs < 3:
-            raise SettingError("n_coeffs must be >= 3")
-        if not (0.0 < self.passband_edge < self.stopband_edge < 1.0):
-            raise SettingError("need 0 < passband_edge < stopband_edge < 1 (Nyquist units)")
+PASSBAND_EDGE = 0.2  # band edges of every design, in Nyquist units
+STOPBAND_EDGE = 0.7
 
 
 @dataclass(frozen=True)
@@ -69,34 +59,36 @@ class SweepResult:
     capped_fits: int = 0  # trials whose curve fit hit the iteration cap
 
 
-def _kaiser_attenuation(spec: FirDesignSpec) -> float:
+def _kaiser_attenuation(n_coeffs: int) -> float:
     """Attenuation (dB) achievable for this length/transition, Kaiser's estimate."""
-    width = (spec.stopband_edge - spec.passband_edge) * math.pi
-    return 2.285 * width * (spec.n_coeffs - 1) + 7.95
+    width = (STOPBAND_EDGE - PASSBAND_EDGE) * math.pi
+    return 2.285 * width * (n_coeffs - 1) + 7.95
 
 
-def _kaiser_fallback(spec: FirDesignSpec) -> np.ndarray:
+def _kaiser_fallback(n_coeffs: int) -> np.ndarray:
     from scipy import signal as sp_signal
 
-    atten = _kaiser_attenuation(spec)
+    atten = _kaiser_attenuation(n_coeffs)
     beta = 0.1102 * (atten - 8.7) if atten > 50 else 0.5842 * (atten - 21) ** 0.4 + 0.07886 * (atten - 21)
-    cutoff = 0.5 * (spec.passband_edge + spec.stopband_edge)
-    return sp_signal.firwin(spec.n_coeffs, cutoff, window=("kaiser", beta), fs=2.0)
+    cutoff = 0.5 * (PASSBAND_EDGE + STOPBAND_EDGE)
+    return sp_signal.firwin(n_coeffs, cutoff, window=("kaiser", beta), fs=2.0)
 
 
-def design_fir(spec: FirDesignSpec) -> np.ndarray:
-    """Linear-phase low-pass coefficients, exactly symmetric.
+def design_fir(n_coeffs: int) -> np.ndarray:
+    """Linear-phase low-pass coefficients of `n_coeffs` taps, exactly symmetric.
 
     Remez exchange with equal band weights; lengths whose optimal ripple is
     below double precision use the Kaiser fallback described in the module
     docstring.
     """
+    if n_coeffs < 3:
+        raise SettingError("n_coeffs must be >= 3")
     from scipy import signal as sp_signal
 
     try:
         coeffs = sp_signal.remez(
-            spec.n_coeffs,
-            [0.0, spec.passband_edge, spec.stopband_edge, 1.0],
+            n_coeffs,
+            [0.0, PASSBAND_EDGE, STOPBAND_EDGE, 1.0],
             [1.0, 0.0],
             fs=2.0,
             maxiter=REMEZ_MAX_ITER,
@@ -104,11 +96,11 @@ def design_fir(spec: FirDesignSpec) -> np.ndarray:
     except ValueError as exc:
         # beyond ~180 dB the optimal deviation is unresolvable in float64 and
         # the exchange cannot alternate; anything short of that is a real failure
-        if _kaiser_attenuation(spec) < 180.0:
-            raise DesignFailure(f"equiripple exchange failed for {spec.n_coeffs} taps: {exc}")
-        coeffs = _kaiser_fallback(spec)
+        if _kaiser_attenuation(n_coeffs) < 180.0:
+            raise DesignFailure(f"equiripple exchange failed for {n_coeffs} taps: {exc}")
+        coeffs = _kaiser_fallback(n_coeffs)
     if not np.all(np.isfinite(coeffs)):
-        raise DesignFailure(f"non-finite coefficients for {spec.n_coeffs} taps")
+        raise DesignFailure(f"non-finite coefficients for {n_coeffs} taps")
     # enforce bit-exact linear-phase symmetry
     coeffs = 0.5 * (coeffs + coeffs[::-1])
     coeffs.setflags(write=False)
@@ -202,7 +194,7 @@ def divergence_sweep(
         for freq in sorted(frequencies)
         for nc in sorted(n_coeffs_list)
     ]
-    designs = {nc: design_fir(FirDesignSpec(n_coeffs=nc)) for nc in sorted(n_coeffs_list)}
+    designs = {nc: design_fir(nc) for nc in sorted(n_coeffs_list)}
     trials = [
         (designs[nc], delta, freq,
          int(np.random.SeedSequence([seed, cell_index, trial]).generate_state(1, np.uint64)[0]))

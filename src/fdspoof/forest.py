@@ -1,16 +1,16 @@
 """From-scratch random forest for the binary bonafide/spoof decision.
 
-CART-style greedy trees: at each node a seeded subset of features is drawn,
-candidate thresholds lie between consecutive sorted unique values a < b (the
-midpoint, or a where the midpoint would round or overflow out of [a, b)), and
-the split maximizing impurity decrease (gini or entropy) wins; all candidate
-features of a node are sorted and scored in one vectorized call. Trees grow
-to full size (Breiman 2001): until every leaf is pure or has no cut.
-Each tree of a forest trains on an independent bootstrap seeded by
-(seed + tree_index), so any execution order produces the identical model, and
-a forest's first n trees are the n-tree forest with the same settings: the
-grid search trains one forest per setting at its largest size and scores the
-smaller sizes on its prefixes.
+CART-style greedy trees: at each node a seeded floor(sqrt(p)) of the p features
+are drawn, candidate thresholds lie between consecutive sorted unique values a < b
+(the midpoint, or a where the midpoint would round or overflow out of [a, b)),
+and the split maximizing impurity decrease (gini or entropy) wins; all
+candidate features of a node are sorted and scored in one vectorized call.
+Trees grow to full size: until every leaf is pure or has no cut. Each tree of a
+forest trains on an independent bootstrap seeded by (seed + tree_index); the
+bootstrap and the floor(sqrt(p)) draw are Breiman's (2001), fixed, not settings.
+Any execution order produces the identical model, and a forest's first n trees
+are the n-tree forest with the same settings: the grid search trains one forest
+per setting at its largest size and scores the smaller sizes on its prefixes.
 """
 
 from __future__ import annotations
@@ -48,9 +48,7 @@ class LabeledDataset:
 class ForestConfig:
     n_trees: int = 100
     criterion: str = "gini"
-    features_per_split: int | None = None  # default floor(sqrt(n_features))
     seed: int = 0
-    bootstrap: bool = True
 
     def __post_init__(self) -> None:
         if type(self.n_trees) is not int or type(self.seed) is not int:  # not bool either
@@ -137,17 +135,10 @@ def _best_split(block: np.ndarray, y: np.ndarray, criterion: str):
     return column, threshold if a <= threshold < b else a
 
 
-def _grow(data: LabeledDataset, config: ForestConfig, seed: int) -> Tree:
-    """Depth-first, left-child-first growth with an explicit stack.
-
-    Both the bootstrap rows (all rows, in order, without `config.bootstrap`)
-    and the per-node feature draws derive from `seed`.
-    """
-    X, y, n = data.features, data.labels, data.n_records
-    n_features_split = _resolve_features_per_split(config, X.shape[1])
-    rows = np.arange(n)
-    if config.bootstrap:
-        rows = np.sort(np.random.default_rng(seed).integers(0, n, size=n))
+def _grow(X: np.ndarray, y: np.ndarray, rows: np.ndarray, n_split: int, criterion: str,
+          seed: int) -> Tree:
+    """The tree grown on `rows` of X, drawing `n_split` candidate features per
+    node from `seed`: depth-first, left child first, with an explicit stack."""
     rng = np.random.default_rng(seed)
     feature: list[int] = []
     threshold: list[float] = []
@@ -169,11 +160,11 @@ def _grow(data: LabeledDataset, config: ForestConfig, seed: int) -> Tree:
         if ones == 0 or ones == node_rows.size:  # pure, so a 1-row node too
             continue
 
-        candidates = rng.choice(X.shape[1], size=n_features_split, replace=False)
+        candidates = rng.choice(X.shape[1], size=n_split, replace=False)
         # zero-gain splits are accepted (like sklearn): XOR-style data needs a
         # neutral first cut before any purity shows up; recursion still ends
         # because both sides are strictly smaller
-        found = _best_split(X[np.ix_(node_rows, candidates)], y[node_rows], config.criterion)
+        found = _best_split(X[np.ix_(node_rows, candidates)], y[node_rows], criterion)
         if found is None:
             continue
 
@@ -186,22 +177,20 @@ def _grow(data: LabeledDataset, config: ForestConfig, seed: int) -> Tree:
     return Tree(feature, threshold, left, right, counts)
 
 
-def _resolve_features_per_split(config: ForestConfig, n_features: int) -> int:
-    k = config.features_per_split
-    if k is None:
-        k = max(1, int(np.sqrt(n_features)))
-    if not (1 <= k <= n_features):
-        raise ValueError(f"features_per_split {k} out of range for {n_features} features")
-    return k
-
-
 def train_forest(data: LabeledDataset, config: ForestConfig) -> TrainedModel:
-    """Train n_trees trees, each on an independent seeded bootstrap."""
+    """Train n_trees trees: tree t on the sorted bootstrap rows drawn from
+    seed + t, with floor(sqrt(n_features)) candidate features per node."""
     if data.n_records == 0:
         raise EmptyDataset("cannot train on an empty dataset")
     if len(np.unique(data.labels)) < 2:
         raise EmptyDataset("training data must contain both classes")
-    trees = tuple(_grow(data, config, config.seed + t) for t in range(config.n_trees))
+    X, y, n = data.features, data.labels, data.n_records
+    n_split = max(1, int(np.sqrt(X.shape[1])))
+    trees = tuple(
+        _grow(X, y, np.sort(np.random.default_rng(seed).integers(0, n, size=n)), n_split,
+              config.criterion, seed)
+        for seed in range(config.seed, config.seed + config.n_trees)
+    )
     return TrainedModel(trees=trees, config=config, layout_hash=data.layout_hash)
 
 
@@ -322,7 +311,7 @@ def grid_search(
 # persistence
 # ---------------------------------------------------------------------------
 
-MODEL_FORMAT = "fdspoof-forest-v2"
+MODEL_FORMAT = "fdspoof-forest-v3"
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
@@ -334,6 +323,13 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
                   for tree in model.trees],
     }
     Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+
+
+def _node_array(values) -> np.ndarray:
+    """A JSON node list as an array, of object dtype if it holds a `true` or
+    `false`, which numpy would read as 1 or 0 among numbers."""
+    objects = np.asarray(values, dtype=object)
+    return objects if bool in set(map(type, objects.flat)) else np.asarray(values)
 
 
 def _checked_tree(nodes: dict[str, np.ndarray], where: str) -> Tree:
@@ -374,7 +370,7 @@ def load_model(path: str | Path) -> TrainedModel:
         raise LayoutMismatch(f"unknown model format {doc.get('format')!r}; retrain the model")
     try:
         config = ForestConfig(**doc["config"])
-        docs = [{f.name: np.asarray(t[f.name]) for f in fields(Tree)} for t in doc["trees"]]
+        docs = [{f.name: _node_array(t[f.name]) for f in fields(Tree)} for t in doc["trees"]]
         layout = doc["layout_hash"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model: {type(exc).__name__}: {exc}") from None

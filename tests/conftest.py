@@ -52,6 +52,6 @@ def blobs():
 
 def make_filtered_clip(n_coeffs, clip_seed, n_samples=32000):
     """Gaussian noise shaped by an equiripple low-pass of the given length."""
-    coeffs = firsim.design_fir(firsim.FirDesignSpec(n_coeffs=n_coeffs))
+    coeffs = firsim.design_fir(n_coeffs)
     source = firsim.gaussian_source(n_samples, clip_seed)
     return firsim.apply_fir(source, coeffs)

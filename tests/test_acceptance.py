@@ -17,7 +17,7 @@ import pytest
 from scipy import stats as sp_stats
 
 from conftest import brute_force_first_digit, make_blobs, make_filtered_clip
-from fdspoof import asvspoof, audio_io, fd_features as fd, firsim, segmentation
+from fdspoof import asvspoof, audio_io, fd_features as fd, firsim, forest, segmentation
 from fdspoof.asvspoof import ProtocolEntry, build_dataset
 from fdspoof.audio_io import AudioBuffer
 from fdspoof.forest import ForestConfig, grid_search, save_model, train_forest
@@ -162,8 +162,7 @@ def test_criterion_8_forest_sanity(tmp_path):
         xor_features = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         xor = LabeledDataset(xor_features, np.array([0, 1, 1, 0]),
                              ("a", "b", "c", "d"), "xor")
-        tree = train_forest(xor, ForestConfig(n_trees=1, features_per_split=2, seed=0,
-                                              bootstrap=False)).trees[0]
+        tree = forest._grow(xor.features, xor.labels, np.arange(4), 2, "gini", 0)
         assert [walk_tree(tree, r) for r in xor_features] == [0, 1, 1, 0]
 
         for name in ("m1.json", "m2.json"):
@@ -274,8 +273,10 @@ def test_criterion_11_table_one_vs_one(corpus_models):
     with criterion(11, "dev one-vs-one accuracies for Silence deltas 1-3 within 0.05"):
         layout = fd.feature_layout(fd.FdConfig(), tuple(range(2, 15)))
         train_ds, dev_ds, _ = corpus_models[SegmentKind.SILENCE]
-        sub_train, _ = asvspoof.select_columns(train_ds, layout, (10, 20), (1.0, 2.0, 3.0))
-        sub_dev, _ = asvspoof.select_columns(dev_ds, layout, (10, 20), (1.0, 2.0, 3.0))
+        d1_3 = asvspoof.AblationConfig("silence_d1-3", SegmentKind.SILENCE, (10, 20),
+                                       (1.0, 2.0, 3.0))
+        sub_train, _ = asvspoof.select_columns(train_ds, layout, d1_3)
+        sub_dev, _ = asvspoof.select_columns(dev_ds, layout, d1_3)
         model, _ = grid_search(sub_train, sub_dev, seed=0)
         rows = asvspoof.evaluate_with_aggregate(model, sub_dev, "silence", "d1-3")[:-1]
         by_id = {row.system_id: row.accuracy for row in rows}

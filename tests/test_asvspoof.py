@@ -7,6 +7,7 @@ import pytest
 from conftest import make_filtered_clip
 from fdspoof import asvspoof, audio_io
 from fdspoof.asvspoof import (
+    AblationConfig,
     EvalRow,
     ProtocolEntry,
     balance_training,
@@ -527,24 +528,29 @@ class TestEvaluation:
         assert len({r.accuracy for r in rows}) > 2
 
 
+def silence_row(bases, deltas):
+    return AblationConfig("row", SegmentKind.SILENCE, bases, deltas)
+
+
 class TestColumnSelection:
     def test_delta_subset_is_104_columns(self):
         layout = feature_layout(FdConfig(), tuple(range(2, 15)))
         data = synthetic_dataset(3, layout, seed=6)
-        sub, sub_layout = select_columns(data, layout, (10, 20), (1.0,))
+        sub, sub_layout = select_columns(data, layout, silence_row((10, 20), (1.0,)))
         assert sub.features.shape[1] == 104
         assert len(sub_layout) == 104
 
     def test_base_subset_is_208_columns(self):
         layout = feature_layout(FdConfig(), tuple(range(2, 15)))
         data = synthetic_dataset(3, layout, seed=7)
-        sub, sub_layout = select_columns(data, layout, (10,), (1.0, 2.0, 3.0, 4.0))
+        sub, sub_layout = select_columns(data, layout, silence_row((10,), (1.0, 2.0, 3.0, 4.0)))
         assert sub.features.shape[1] == 208
 
     def test_whole_subset_equals_original(self):
         layout = feature_layout(FdConfig(), tuple(range(2, 15)))
         data = synthetic_dataset(3, layout, seed=8)
-        sub, sub_layout = select_columns(data, layout, (10, 20), (1.0, 2.0, 3.0, 4.0))
+        sub, sub_layout = select_columns(data, layout,
+                                         silence_row((10, 20), (1.0, 2.0, 3.0, 4.0)))
         assert np.array_equal(sub.features, data.features)
         assert sub.layout_hash == data.layout_hash
 

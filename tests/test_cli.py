@@ -10,11 +10,11 @@ import pytest
 
 import fdspoof
 from conftest import make_filtered_clip
-from fdspoof import audio_io, cli, fd_features, firsim, forest
+from fdspoof import asvspoof, audio_io, cli, fd_features, firsim, forest
 from fdspoof.asvspoof import write_feature_csv
 from fdspoof.fd_features import FdConfig, feature_layout, layout_hash
 from fdspoof.forest import LabeledDataset
-from test_forest import three_node_doc, v1_doc
+from test_forest import three_node_doc, v1_doc, v2_doc
 
 
 @pytest.fixture(scope="module")
@@ -294,8 +294,10 @@ class TestSegmentReport:
 
 
 class TestAblateCommand:
-    def test_ablate_runs_on_synthetic_features(self, tmp_path):
-        layout = feature_layout(FdConfig(), tuple(range(2, 15)))
+    def inputs(self, tmp_path, fd_cfg, segments=("silence", "full", "voiced")):
+        """`ablate`'s train/dev arguments for synthetic feature files of the
+        layout `extract` writes under `fd_cfg`."""
+        layout = feature_layout(fd_cfg, tuple(range(2, 15)))
 
         def synth(seed, n=6):
             rows, labels, ids, systems = [], [], [], []
@@ -309,24 +311,47 @@ class TestAblateCommand:
             return LabeledDataset(np.array(rows), np.array(labels), tuple(ids),
                                   layout_hash(layout), tuple(systems))
 
-        paths = {}
-        for index, segment in enumerate(("silence", "full", "voiced")):
+        args = []
+        for index, segment in enumerate(segments):
             for role, seed in (("train", 1), ("dev", 2)):
                 path = tmp_path / f"{segment}_{role}.csv"
                 write_feature_csv(path, synth(seed * 10 + index), layout)
-                paths[f"{role}_{segment}"] = str(path)
+                args += [f"--{role}-{segment}", str(path)]
+        return args
 
+    def test_ablate_runs_on_synthetic_features(self, tmp_path):
         out = tmp_path / "ablation.csv"
-        code = cli.main([
-            "ablate",
-            "--train-silence", paths["train_silence"], "--dev-silence", paths["dev_silence"],
-            "--train-full", paths["train_full"], "--dev-full", paths["dev_full"],
-            "--train-voiced", paths["train_voiced"], "--dev-voiced", paths["dev_voiced"],
-            "--out", str(out),
-        ])
+        code = cli.main(["ablate", *self.inputs(tmp_path, FdConfig()), "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 8  # header + 8 configurations x 1 system
+
+    @pytest.mark.parametrize("fd_cfg,missing", [
+        (FdConfig(bases=(16,)), "silence_d1 needs (base, step) (10, 1), (20, 1),"),
+        (FdConfig(deltas=(1.0, 2.0)), "silence_d1-3 needs (base, step) (10, 3), (20, 3),"),
+    ], ids=["bases_16", "deltas_1_2"])
+    def test_features_without_the_default_grid_exit_65(self, tmp_path, capsys, monkeypatch,
+                                                      fd_cfg, missing):
+        # every row's columns are checked before any tree grows
+        monkeypatch.setattr(asvspoof, "grid_search", lambda *_: pytest.fail("a tree grew"))
+        out = tmp_path / "ablation.csv"
+        code = cli.main(["ablate", *self.inputs(tmp_path, fd_cfg, ("silence",)),
+                         "--out", str(out)])
+        assert code == 65
+        assert f"layout mismatch: ablation row {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dev_cfg", [FdConfig(deltas=(1.0, 2.0)), FdConfig(bases=(10, 16))],
+                             ids=["narrower", "same_width"])
+    def test_dev_layout_other_than_train_exits_65(self, tmp_path, capsys, dev_cfg):
+        (tmp_path / "train").mkdir()
+        (tmp_path / "dev").mkdir()
+        train = self.inputs(tmp_path / "train", FdConfig(), ("silence",))[:2]
+        dev = self.inputs(tmp_path / "dev", dev_cfg, ("silence",))[2:]
+        out = tmp_path / "ablation.csv"
+        assert cli.main(["ablate", *train, *dev, "--out", str(out)]) == 65
+        assert "layout mismatch: silence: train layout " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRejectedInput:
@@ -573,17 +598,21 @@ class TestRejectedInput:
         model = self.model_for(features, tmp_path, feature=[415, -1, -1])
         assert self.evaluate(model, features, tmp_path) == 0
 
-    def test_first_format_model_exits_65_asking_to_retrain(self, extracted, tmp_path, capsys):
-        _, features = extracted
-        doc = v1_doc()
+    def assert_asks_to_retrain(self, doc, features, tmp_path, capsys):
         doc["layout_hash"] = layout_hash(feature_layout(FdConfig(), tuple(range(2, 15))))
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
         assert self.evaluate(model, features, tmp_path) == 65
-        assert "retrain" in capsys.readouterr().err
+        assert f"{doc['format']!r}; retrain" in capsys.readouterr().err
         assert not (tmp_path / "report.csv").exists()
 
-    @pytest.mark.parametrize("text", ["{not json", '{"format": "fdspoof-forest-v2"}'])
+    def test_first_format_model_exits_65_asking_to_retrain(self, extracted, tmp_path, capsys):
+        self.assert_asks_to_retrain(v1_doc(), extracted[1], tmp_path, capsys)
+
+    def test_second_format_model_exits_65_asking_to_retrain(self, extracted, tmp_path, capsys):
+        self.assert_asks_to_retrain(v2_doc(), extracted[1], tmp_path, capsys)
+
+    @pytest.mark.parametrize("text", ["{not json", '{"format": "fdspoof-forest-v3"}'])
     def test_unreadable_model_exits_2(self, extracted, tmp_path, text):
         _, features = extracted
         model = tmp_path / "model.json"

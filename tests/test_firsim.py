@@ -16,7 +16,8 @@ from fdspoof.exceptions import (
 )
 from fdspoof.fd_features import FdConfig, digit_pmf, divergences, fit_benford
 from fdspoof.firsim import (
-    FirDesignSpec,
+    PASSBAND_EDGE,
+    STOPBAND_EDGE,
     SweepRow,
     apply_fir,
     design_fir,
@@ -27,35 +28,35 @@ from fdspoof.firsim import (
 )
 
 
-def band_magnitudes(coeffs, spec=FirDesignSpec(n_coeffs=3)):
+def band_magnitudes(coeffs):
     w, h = sp_signal.freqz(coeffs, worN=8192)
     wn = w / np.pi
     mag = np.abs(h)
-    return mag[wn <= spec.passband_edge], mag[wn >= spec.stopband_edge]
+    return mag[wn <= PASSBAND_EDGE], mag[wn >= STOPBAND_EDGE]
 
 
 class TestDesign:
     def test_three_taps_symmetric(self):
-        coeffs = design_fir(FirDesignSpec(n_coeffs=3))
+        coeffs = design_fir(3)
         assert len(coeffs) == 3
         assert coeffs[0] == coeffs[2]
 
     def test_symmetry_bit_exact(self):
         for n_coeffs in (4, 15, 31, 64, 128):
-            coeffs = design_fir(FirDesignSpec(n_coeffs=n_coeffs))
+            coeffs = design_fir(n_coeffs)
             assert np.array_equal(coeffs, coeffs[::-1])
 
     def test_dc_gain_within_passband_ripple(self):
         for n_coeffs in (8, 15, 31):
-            coeffs = design_fir(FirDesignSpec(n_coeffs=n_coeffs))
+            coeffs = design_fir(n_coeffs)
             passband, _ = band_magnitudes(coeffs)
             ripple = np.max(np.abs(passband - 1.0))
             dc_gain = float(np.sum(coeffs))
             assert abs(dc_gain - 1.0) <= ripple + 1e-12
 
     def test_longer_filter_attenuates_more(self):
-        small = design_fir(FirDesignSpec(n_coeffs=15))
-        large = design_fir(FirDesignSpec(n_coeffs=31))
+        small = design_fir(15)
+        large = design_fir(31)
         _, stop_small = band_magnitudes(small)
         _, stop_large = band_magnitudes(large)
         assert np.max(stop_large) < np.max(stop_small)
@@ -63,15 +64,15 @@ class TestDesign:
     def test_equiripple_alternation(self):
         # band-edge and interior error extrema must alternate in sign and sit
         # at a common magnitude level (the equiripple deviation)
-        spec = FirDesignSpec(n_coeffs=15)
-        coeffs = design_fir(spec)
+        n_coeffs = 15
+        coeffs = design_fir(n_coeffs)
         w, h = sp_signal.freqz(coeffs, worN=1 << 14)
         wn = w / np.pi
-        zero_phase = np.real(h * np.exp(1j * w * (spec.n_coeffs - 1) / 2))
+        zero_phase = np.real(h * np.exp(1j * w * (n_coeffs - 1) / 2))
 
         candidates = []
-        for lo, hi, desired in ((0.0, spec.passband_edge, 1.0),
-                                (spec.stopband_edge, 1.0, 0.0)):
+        for lo, hi, desired in ((0.0, PASSBAND_EDGE, 1.0),
+                                (STOPBAND_EDGE, 1.0, 0.0)):
             band = np.nonzero((wn >= lo) & (wn <= hi))[0]
             err = zero_phase[band] - desired
             for j in range(len(err)):
@@ -101,7 +102,7 @@ class TestDesign:
         # 8 taps can only reach ~34 dB here, far from the precision ceiling,
         # so a failed exchange must surface as DesignFailure (no fallback)
         with pytest.raises(DesignFailure):
-            design_fir(FirDesignSpec(n_coeffs=8))
+            design_fir(8)
 
 
 class TestGaussianSource:
@@ -144,7 +145,7 @@ class TestApplyFir:
     def test_impulse_reproduces_coefficients(self):
         impulse = np.zeros(32)
         impulse[0] = 1.0
-        coeffs = design_fir(FirDesignSpec(n_coeffs=8))
+        coeffs = design_fir(8)
         out = apply_fir(AudioBuffer(impulse, 16000, "i"), coeffs)
         expected = coeffs / np.max(np.abs(coeffs))
         assert np.allclose(out.samples[:8], expected, atol=1e-12)
@@ -161,7 +162,7 @@ def scalar_sweep(n_coeffs_list, deltas, frequencies, n_trials, signal_len, seed)
     cells = [(d, f, nc) for d in sorted(deltas) for f in sorted(frequencies)
              for nc in sorted(n_coeffs_list)]
     for cell_index, (delta, freq, nc) in enumerate(cells):
-        coeffs = design_fir(FirDesignSpec(n_coeffs=nc))
+        coeffs = design_fir(nc)
         values = []
         for trial in range(n_trials):
             source = firsim.gaussian_source(signal_len, trial_seed(seed, cell_index, trial))
@@ -272,7 +273,7 @@ class TestSweep:
     def test_power_of_base_delta_stretches_statistics_only(self):
         from fdspoof.cepstral import mfcc
 
-        buf = apply_fir(gaussian_source(1 << 16, 5), design_fir(FirDesignSpec(n_coeffs=8)))
+        buf = apply_fir(gaussian_source(1 << 16, 5), design_fir(8))
         column = mfcc(buf).values[:, :1]
         reference, *stretched = digit_pmf(column, (1.0, 10.0, 100.0), 10, 10)[0]
         for pmf in stretched:

@@ -1,6 +1,7 @@
 import itertools
 import json
-from dataclasses import fields, replace
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from fdspoof.forest import (
     Tree,
     TrainedModel,
     _impurity,
-    _resolve_features_per_split,
     accuracy,
     grid_search,
     load_model,
@@ -77,15 +77,11 @@ def split_one_feature(x, y, criterion):
     return (threshold if a <= threshold < b else a), float(gain[best])
 
 
-def grow_by_feature(data, config, seed, bootstrap):
-    """Reference tree growth that searches a node's candidate features one at
-    a time and keeps the first with the strictly highest gain; the same
-    seeds, draws and node numbering as `train_forest`."""
-    X, y, n = data.features, data.labels, data.n_records
-    n_split = _resolve_features_per_split(config, X.shape[1])
-    rows = np.arange(n)
-    if bootstrap:
-        rows = np.sort(np.random.default_rng(seed).integers(0, n, size=n))
+def grow_by_feature(data, rows, n_split, criterion, seed):
+    """Reference tree growth on `rows` that searches a node's `n_split`
+    candidate features one at a time and keeps the first with the strictly
+    highest gain; the same draws and node numbering as `forest._grow`."""
+    X, y = data.features, data.labels
     rng = np.random.default_rng(seed)
     feature, threshold, left, right, counts = [], [], [], [], []
     stack = [(rows, -1, 0)]
@@ -104,7 +100,7 @@ def grow_by_feature(data, config, seed, bootstrap):
             continue
         best_gain, best_feature, best_threshold = -np.inf, -1, 0.0
         for f in rng.choice(X.shape[1], size=n_split, replace=False):
-            found = split_one_feature(X[node_rows, f], y[node_rows], config.criterion)
+            found = split_one_feature(X[node_rows, f], y[node_rows], criterion)
             if found is not None and found[1] > best_gain:
                 best_threshold, best_gain = found
                 best_feature = int(f)
@@ -150,35 +146,40 @@ def grid_by_cells(train, dev, grid):
     return best[1], report
 
 
-def one_tree(data, config, seed):
-    """The tree that a one-tree forest without bootstrap grows from `seed`."""
-    return train_forest(data, replace(config, n_trees=1, bootstrap=False, seed=seed)).trees[0]
+def one_tree(data, rows, n_split, seed, criterion="gini"):
+    """The tree that the grower grows on `rows` with `n_split` candidates."""
+    return forest._grow(data.features, data.labels, rows, n_split, criterion, seed)
+
+
+def bootstrap_rows(n, seed):
+    """The rows `train_forest` draws for the tree of `seed`."""
+    return np.sort(np.random.default_rng(seed).integers(0, n, size=n))
 
 
 class TestTrainTree:
     def test_forced_split(self):
         data = dataset_of([[0.0], [1.0]], [0, 1])
-        tree = one_tree(data, ForestConfig(features_per_split=1), seed=0)
+        tree = one_tree(data, np.arange(2), 1, seed=0)
         assert tree.threshold[0] == 0.5
         assert sorted([tree.counts[1].tolist(), tree.counts[2].tolist()]) == [[0, 1], [1, 0]]
 
     def test_single_class_single_leaf(self):
         data = dataset_of([[0.0], [1.0], [2.0]], [1, 1, 1])
         # train_forest rejects one-class data, so grow the tree directly
-        tree = forest._grow(data, ForestConfig(features_per_split=1, bootstrap=False), 0)
+        tree = one_tree(data, np.arange(3), 1, seed=0)
         assert len(tree.feature) == 1
         assert tree.counts[0].tolist() == [0, 3]
 
     def test_xor_reaches_purity(self):
         data = dataset_of([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], [0, 1, 1, 0])
-        tree = one_tree(data, ForestConfig(features_per_split=2), seed=3)
+        tree = one_tree(data, np.arange(4), 2, seed=3)
         preds = [walk_tree(tree, row) for row in data.features]
         assert preds == [0, 1, 1, 0]
 
     def test_empty_rejected(self):
         data = dataset_of(np.zeros((0, 2)), np.zeros(0, dtype=int))
         with pytest.raises(EmptyDataset):
-            one_tree(data, ForestConfig(), seed=0)
+            train_forest(data, ForestConfig(n_trees=1))
 
     @pytest.mark.parametrize("values,labels", [
         ([1 + 2**-52, 1 + 2**-51], [0, 1]),  # adjacent floats: the midpoint rounds up to b
@@ -191,7 +192,7 @@ class TestTrainTree:
         a, b = values[labels.index(1) - 1], values[labels.index(1)]
         column, threshold = forest._best_split(block, y, "gini")
         assert column == 0 and a <= threshold < b
-        tree = one_tree(dataset_of(block, labels), ForestConfig(features_per_split=1), seed=0)
+        tree = one_tree(dataset_of(block, labels), np.arange(len(values)), 1, seed=0)
         assert tree.feature.tolist() == [0, -1, -1]
         assert tree.threshold[0] == a
         zeros, ones = labels.count(0), labels.count(1)
@@ -204,14 +205,20 @@ class TestSplitOracle:
                                                     (True, False), (1, None))))
     def test_forest_matches_per_feature_search(self, criterion, seed, offset, bootstrap,
                                                per_split):
+        # train_forest grows bootstrap rows with floor(sqrt(7)) = 2 candidates
+        # per node; every other (rows, n_split) goes through the grower
         data = tied_data(seed=seed + (offset or 0))  # data seeds 1, 3, 5 and 7
-        config = ForestConfig(n_trees=4, criterion=criterion, features_per_split=per_split,
-                              seed=11, bootstrap=bootstrap)
-        model = train_forest(data, config)
-        for t, tree in enumerate(model.trees):
-            assert_same_tree(tree, grow_by_feature(data, config, 11 + t, bootstrap))
+        n = data.n_records
+        n_split = per_split or math.isqrt(data.features.shape[1])
+        rows = [bootstrap_rows(n, 11 + t) if bootstrap else np.arange(n) for t in range(4)]
+        if bootstrap and per_split is None:
+            trees = train_forest(data, ForestConfig(n_trees=4, criterion=criterion, seed=11)).trees
+        else:
+            trees = [one_tree(data, rows[t], n_split, 11 + t, criterion) for t in range(4)]
+        for t, tree in enumerate(trees):
+            assert_same_tree(tree, grow_by_feature(data, rows[t], n_split, criterion, 11 + t))
         # the grid is only worth checking if it splits at all
-        assert max(len(tree.feature) for tree in model.trees) > 1
+        assert max(len(tree.feature) for tree in trees) > 1
 
     @pytest.mark.parametrize("criterion,seed,step",
                              list(itertools.product(CRITERIA, (1, 3), (None, 0.1, 0.5))))
@@ -245,11 +252,10 @@ class TestSplitOracle:
 
     def test_node_without_a_cut_is_a_leaf(self):
         data = dataset_of([[1.0, 2.0]] * 4, [0, 1, 0, 1])  # constant columns: no cut at all
-        config = ForestConfig()
-        tree = one_tree(data, config, seed=0)
+        tree = one_tree(data, np.arange(4), 1, seed=0)
         assert tree.feature.tolist() == [-1]
         assert tree.counts.tolist() == [[2, 2]]
-        assert_same_tree(tree, grow_by_feature(data, config, 0, bootstrap=False))
+        assert_same_tree(tree, grow_by_feature(data, np.arange(4), 1, "gini", 0))
 
 
 class TestTrainForest:
@@ -445,9 +451,8 @@ class TestPersistence:
     def test_file_holds_only_the_node_arrays_a_reader_reads(self, tmp_path, blobs):
         save_model(train_forest(blobs, ForestConfig(n_trees=3, seed=6)), tmp_path / "m.json")
         doc = json.loads((tmp_path / "m.json").read_text())
-        assert doc["format"] == "fdspoof-forest-v2"
-        assert set(doc["config"]) == {"n_trees", "criterion", "features_per_split", "seed",
-                                      "bootstrap"}
+        assert doc["format"] == "fdspoof-forest-v3"
+        assert list(doc["config"]) == ["n_trees", "criterion", "seed"]
         for tree in doc["trees"]:
             assert list(tree) == ["feature", "threshold", "left", "right", "counts"]
 
@@ -455,9 +460,8 @@ class TestPersistence:
 def three_node_doc():
     """A valid one-tree model document: a root split and two leaves."""
     return {
-        "format": "fdspoof-forest-v2",
-        "config": {"n_trees": 1, "criterion": "gini", "features_per_split": None, "seed": 0,
-                   "bootstrap": True},
+        "format": "fdspoof-forest-v3",
+        "config": {"n_trees": 1, "criterion": "gini", "seed": 0},
         "layout_hash": "h",
         "trees": [{"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
                    "left": [1, -1, -1], "right": [2, -1, -1],
@@ -465,10 +469,19 @@ def three_node_doc():
     }
 
 
+def v2_doc():
+    """`three_node_doc` as the second model format wrote it, with the
+    candidate count and bootstrap switch in its config."""
+    doc = three_node_doc()
+    doc["format"] = "fdspoof-forest-v2"
+    doc["config"].update(features_per_split=None, bootstrap=True)
+    return doc
+
+
 def v1_doc():
     """`three_node_doc` as the first model format wrote it, with per-node gains
-    and two more config keys."""
-    doc = three_node_doc()
+    and two more config keys than the second."""
+    doc = v2_doc()
     doc["format"] = "fdspoof-forest-v1"
     doc["config"].update(max_depth=None, min_samples_leaf=1)
     doc["trees"][0]["gain"] = [0.5, 0.0, 0.0]
@@ -497,6 +510,10 @@ class TestModelValidation:
         with pytest.raises(LayoutMismatch, match="'fdspoof-forest-v1'; retrain"):
             load_model(self.write(tmp_path, v1_doc()))
 
+    def test_v2_document_asks_for_retraining(self, tmp_path):
+        with pytest.raises(LayoutMismatch, match="'fdspoof-forest-v2'; retrain"):
+            load_model(self.write(tmp_path, v2_doc()))
+
     @pytest.mark.parametrize("nodes", [
         {"feature": [0, 0, -1], "left": [1, 0, -1], "right": [2, 2, -1]},  # cycle
         {"left": [0, -1, -1]},  # self loop
@@ -515,6 +532,10 @@ class TestModelValidation:
         {"left": [1.9, -1, -1]},
         {"counts": [[1, 1], [1, 0], [-0.5, 1]]},
         {"threshold": ["0.5", 0.0, 0.0]},  # a JSON string
+        {"left": [True, -1, -1]},  # JSON true or false among numbers
+        {"feature": [False, -1, -1]},
+        {"threshold": [True, 0.0, 0.0]},
+        {"counts": [[1, 1], [1, 0], [0, True]]},
     ])
     def test_malformed_tree_rejected(self, tmp_path, nodes):
         doc = three_node_doc()
@@ -536,6 +557,8 @@ class TestModelValidation:
         lambda doc: doc["config"].update(seed="x"),
         lambda doc: doc["config"].update(seed=True),
         lambda doc: doc["config"].update(max_depth=None),  # a key of the first format
+        lambda doc: doc["config"].update(features_per_split=None),  # keys of the second
+        lambda doc: doc["config"].update(bootstrap=True),
     ])
     def test_malformed_document_rejected(self, tmp_path, mutate):
         doc = three_node_doc()
