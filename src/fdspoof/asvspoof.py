@@ -37,7 +37,7 @@ from .exceptions import (
     TooShort,
 )
 from .fd_features import FdConfig, FeatureDescriptor
-from .forest import LabeledDataset, TrainedModel, default_grid, grid_search, predict_batch
+from .forest import LabeledDataset, TrainedModel, grid_search, predict_batch
 from .segmentation import EnergyConfig, SegmentKind
 
 SILENCE_HOP = 128
@@ -565,7 +565,6 @@ def ablation_run(
     data_by_segment: dict[SegmentKind, tuple[LabeledDataset, LabeledDataset,
                                              tuple[FeatureDescriptor, ...]]],
     seed: int = 0,
-    grid=None,
 ) -> tuple[EvalRow, ...]:
     """Grid search + one-vs-one evaluation rows, without `ALL`, for every
     default ablation row whose segment has data.
@@ -573,8 +572,8 @@ def ablation_run(
     `data_by_segment` maps a segment kind to (train, dev, layout) built from the
     full feature grid; each row selects columns from those files, so
     differences between rows come from the features alone. Each row gets its
-    own independent grid search. LayoutMismatch, before any tree grows, if a
-    row's columns are missing.
+    own grid search over the default tree counts x criteria at `seed`.
+    LayoutMismatch, before any tree grows, if a row's columns are missing.
     """
     configs = [c for c in default_ablation_configs() if c.segment in data_by_segment]
     for config in configs:
@@ -584,7 +583,7 @@ def ablation_run(
         train, dev, layout = data_by_segment[config.segment]
         sub_train, _ = select_columns(train, layout, config)
         sub_dev, _ = select_columns(dev, layout, config)
-        model, _ = grid_search(sub_train, sub_dev, grid or default_grid(seed), seed)
+        model, _ = grid_search(sub_train, sub_dev, seed=seed)
         rows.extend(evaluate_with_aggregate(model, sub_dev, config.segment.value,
                                             config.name)[:-1])
     return tuple(rows)

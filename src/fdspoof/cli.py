@@ -23,14 +23,7 @@ from . import __version__, asvspoof, audio_io, firsim, segmentation
 from .cepstral import CepstralConfig
 from .exceptions import FdspoofError, LayoutMismatch, ParseError, SettingError
 from .fd_features import DIVERGENCE_NAMES, FdConfig, feature_layout
-from .forest import (
-    CRITERIA,
-    DEFAULT_GRID_TREES,
-    ForestConfig,
-    grid_search,
-    load_model,
-    save_model,
-)
+from .forest import CRITERIA, DEFAULT_GRID_TREES, grid_search, load_model, save_model
 from .segmentation import EnergyConfig, SegmentKind
 
 EXIT_OK = 0
@@ -130,15 +123,15 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     SettingError if a flag or config-file value does not parse, or if a
     config-file key names no setting.
     """
-    file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
+    file_values = read_config_file(args.config) if args.config else {}
     unknown = sorted(set(file_values) - set(_SETTINGS))
     if unknown:
         raise SettingError(f"{args.config}: no setting named {unknown[0]!r}")
     resolved = {}
     for name, (parse, default) in _SETTINGS.items():
-        flag = getattr(args, name, None)
+        flag = getattr(args, name)
         if flag is not None:
-            resolved[name] = _parsed(name, parse, flag) if isinstance(flag, str) else flag
+            resolved[name] = _parsed(name, parse, flag)
         elif name in file_values:
             resolved[name] = _parsed(name, parse, file_values[name])
         else:
@@ -191,9 +184,8 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     train_ds, _ = asvspoof.read_feature_csv(args.train_features)
     dev_ds, _ = asvspoof.read_feature_csv(args.dev_features)
-    grid = [ForestConfig(n_trees=n, criterion=c, seed=args.seed)
-            for n in args.n_trees or DEFAULT_GRID_TREES for c in args.criterion or CRITERIA]
-    model, report = grid_search(train_ds, dev_ds, grid, seed=args.seed)
+    model, report = grid_search(train_ds, dev_ds, args.n_trees or DEFAULT_GRID_TREES,
+                                args.criterion or CRITERIA, args.seed)
     out = Path(args.model_out)
     save_model(model, out)
     report_path = Path(args.grid_report) if args.grid_report else Path(str(out) + ".grid.csv")
@@ -202,7 +194,7 @@ def cmd_train(args) -> int:
         for cell in report:
             fh.write(f"{cell.n_trees},{cell.criterion},{cell.dev_accuracy!r}\n")
     write_manifest(out, "train",
-                   {"grid": [[c.n_trees, c.criterion] for c in grid], "seed": args.seed},
+                   {"grid": [[c.n_trees, c.criterion] for c in report], "seed": args.seed},
                    [Path(args.train_features), Path(args.dev_features)], seed=args.seed)
     best = model.config
     print(f"train: best n_trees={best.n_trees} criterion={best.criterion} -> {out}")

@@ -74,6 +74,8 @@ class FdConfig:
     min_digits: int = 10
 
     def __post_init__(self) -> None:
+        if not self.bases or not self.deltas:
+            raise SettingError("bases and quantization steps must not be empty")
         if any(b < 2 for b in self.bases):
             raise SettingError("every base must be >= 2")
         if any(not 0 < d < math.inf for d in self.deltas):

@@ -180,6 +180,8 @@ def divergence_sweep(
     if signal_len < cepstral_cfg.frame_len:
         raise SettingError(f"signal_len must be >= frame_len ({cepstral_cfg.frame_len})")
     FdConfig(deltas=tuple(deltas))  # checks the steps as `extract` does
+    if not n_coeffs_list or not frequencies:
+        raise SettingError("FIR lengths and frequencies must not be empty")
     if len(set(n_coeffs_list)) < len(n_coeffs_list) or len(set(frequencies)) < len(frequencies):
         raise SettingError("FIR lengths and frequencies must not repeat")
     unknown = sorted(set(frequencies) - set(cepstral_cfg.frequencies))

@@ -9,14 +9,17 @@ Trees grow to full size: until every leaf is pure or has no cut. Each tree of a
 forest trains on an independent bootstrap seeded by (seed + tree_index); the
 bootstrap and the floor(sqrt(p)) draw are Breiman's (2001), fixed, not settings.
 Any execution order produces the identical model, and a forest's first n trees
-are the n-tree forest with the same settings: the grid search trains one forest
-per setting at its largest size and scores the smaller sizes on its prefixes.
+are the n-tree forest with the same criterion and seed: the grid search over
+tree counts x criteria at one seed trains one forest per criterion at the
+largest count and scores the smaller counts on its prefixes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -251,59 +254,48 @@ class GridCell:
     dev_accuracy: float
 
 
-def default_grid(seed: int = 0) -> list[ForestConfig]:
-    return [
-        ForestConfig(n_trees=n, criterion=c, seed=seed)
-        for n in DEFAULT_GRID_TREES
-        for c in CRITERIA
-    ]
-
-
 def grid_search(
-    train: LabeledDataset, dev: LabeledDataset, grid: list[ForestConfig] | None = None,
-    seed: int = 0,
+    train: LabeledDataset, dev: LabeledDataset, n_trees: Sequence[int] = DEFAULT_GRID_TREES,
+    criteria: Sequence[str] = CRITERIA, seed: int = 0,
 ) -> tuple[TrainedModel, list[GridCell]]:
-    """Dev accuracy of every grid cell, in grid order, and the best model.
+    """Dev accuracy of every cell of n_trees x criteria at one seed, trees-major
+    and duplicates kept, and the best model.
 
-    Tree t of a forest depends only on its settings and seed + t, so a smaller
-    forest is the first trees of a larger one with the same settings. Cells
-    that differ only in n_trees therefore share one forest of their largest
-    size, trained once; each size is scored from a running sum of dev votes,
-    by the majority rule of `predict_batch`. Ties prefer fewer trees, then
-    gini. EmptyDataset, before any tree is grown, if dev has no records.
+    Tree t of a forest depends only on its criterion and seed + t, so a smaller
+    forest is the first trees of a larger one with the same criterion. Each
+    criterion therefore trains one forest of max(n_trees) trees; each size is
+    scored from a running sum of dev votes, by the majority rule of
+    `predict_batch`. Ties prefer fewer trees, then gini. SettingError, before
+    anything else, for an empty list or a rejected cell; EmptyDataset, before
+    any tree is grown, if dev has no records.
     """
+    cells = [ForestConfig(n, c, seed) for n in n_trees for c in criteria]
+    if not cells:
+        raise SettingError("n_trees and criteria must not be empty")
     if train.layout_hash != dev.layout_hash:
         raise LayoutMismatch(
             f"train layout {train.layout_hash} != dev layout {dev.layout_hash}"
         )
     if dev.n_records == 0:
         raise EmptyDataset("cannot score a grid on an empty dev set")
-    if grid is None:
-        grid = default_grid(seed)
-    sizes: dict[ForestConfig, set[int]] = {}
-    first: dict[ForestConfig, int] = {}
-    for index, config in enumerate(grid):
-        sizes.setdefault(replace(config, n_trees=1), set()).add(config.n_trees)
-        first.setdefault(config, index)
+    sizes = set(n_trees)
     scores: dict[ForestConfig, float] = {}
 
     def rank(config: ForestConfig) -> tuple:
-        return (-scores[config], config.n_trees, CRITERIA.index(config.criterion),
-                first[config])
+        return -scores[config], config.n_trees, CRITERIA.index(config.criterion)
 
     best: ForestConfig | None = None
     best_trees: tuple[Tree, ...] = ()
-    for shared, wanted in sizes.items():
-        trees = train_forest(train, replace(shared, n_trees=max(wanted))).trees
+    for criterion in dict.fromkeys(criteria):
+        trees = train_forest(train, ForestConfig(max(sizes), criterion, seed)).trees
         for n, votes in enumerate(_vote_sums(trees, dev.features), start=1):
-            if n in wanted:
-                scores[replace(shared, n_trees=n)] = float(
+            if n in sizes:
+                scores[ForestConfig(n, criterion, seed)] = float(
                     np.mean(_majority(votes, n) == dev.labels))
-        top = min((replace(shared, n_trees=n) for n in wanted), key=rank)
+        top = min((ForestConfig(n, criterion, seed) for n in sizes), key=rank)
         if best is None or rank(top) < rank(best):
             best, best_trees = top, trees[: top.n_trees]
-    assert best is not None
-    report = [GridCell(config.n_trees, config.criterion, scores[config]) for config in grid]
+    report = [GridCell(config.n_trees, config.criterion, scores[config]) for config in cells]
     return TrainedModel(best_trees, best, train.layout_hash), report
 
 
@@ -326,10 +318,13 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def _node_array(values) -> np.ndarray:
-    """A JSON node list as an array, of object dtype if it holds a `true` or
-    `false`, which numpy would read as 1 or 0 among numbers."""
-    objects = np.asarray(values, dtype=object)
-    return objects if bool in set(map(type, objects.flat)) else np.asarray(values)
+    """A JSON node list as an array, of object dtype if it (or, for `counts`,
+    one of its pairs) holds a `true` or `false`, which numpy would read as 1 or
+    0 among numbers. A list nested deeper is rejected by its shape either way."""
+    items = values if type(values) is list else ()
+    if items and type(items[0]) is list:  # counts: one pair per node
+        items = chain.from_iterable(items)
+    return np.asarray(values, dtype=object if bool in set(map(type, items)) else None)
 
 
 def _checked_tree(nodes: dict[str, np.ndarray], where: str) -> Tree:

@@ -1,5 +1,6 @@
 import csv
 import shutil
+from functools import partial
 
 import numpy as np
 import pytest
@@ -206,6 +207,14 @@ class TestBuildDataset:
             build_dataset(entries, audio_dir, SegmentKind.SILENCE, short_frame)
         assert asvspoof.view_config(SegmentKind.VOICED, short_frame) is short_frame
         assert asvspoof.view_config(SegmentKind.SILENCE, CepstralConfig()).hop == 128
+
+    @pytest.mark.parametrize("empty", ["bases", "deltas"])
+    def test_empty_feature_setting_rejected_before_any_record(self, toy_corpus, monkeypatch,
+                                                              empty):
+        audio_dir, entries = toy_corpus
+        monkeypatch.setattr(asvspoof.audio_io, "load", lambda path: pytest.fail("decoded"))
+        with pytest.raises(SettingError, match="bases and quantization steps must not be empty"):
+            build_dataset(entries, audio_dir, SegmentKind.FULL, fd_cfg=FdConfig(**{empty: ()}))
 
     def test_deterministic_bytes(self, toy_corpus, tmp_path):
         audio_dir, entries = toy_corpus
@@ -486,7 +495,7 @@ class TestEvaluation:
         layout = feature_layout(FdConfig(), (2,))
         data = synthetic_dataset(12, layout, seed=4)
         train = synthetic_dataset(12, layout, seed=5)
-        model, _ = grid_search(train, data, [ForestConfig(n_trees=10, seed=0)])
+        model, _ = grid_search(train, data, (10,), ("gini",))
         report = asvspoof.evaluate_with_aggregate(model, data, "full", "10xgini")
         assert all(row.accuracy == 1.0 for row in report)
         assert report[-1].system_id == "ALL"
@@ -510,7 +519,7 @@ class TestEvaluation:
         noisy = LabeledDataset(train.features + rng.normal(0.0, 3.0, train.features.shape),
                                train.labels, train.record_ids, train.layout_hash,
                                train.system_ids)
-        model = grid_search(noisy, noisy, [ForestConfig(n_trees=7, seed=2)])[0]
+        model = grid_search(noisy, noisy, (7,), ("gini",), seed=2)[0]
 
         calls = []
 
@@ -556,14 +565,16 @@ class TestColumnSelection:
 
 
 class TestAblation:
-    def test_row_bookkeeping(self):
+    def test_row_bookkeeping(self, monkeypatch):
         layout = feature_layout(FdConfig(), tuple(range(2, 15)))
         data = {
             kind: (synthetic_dataset(8, layout, seed=10 + i),
                    synthetic_dataset(4, layout, seed=20 + i), layout)
             for i, kind in enumerate(SegmentKind)
         }
-        report = asvspoof.ablation_run(data, grid=[ForestConfig(n_trees=10, seed=0)])
+        monkeypatch.setattr(asvspoof, "grid_search", partial(grid_search, n_trees=(10,),
+                                                              criteria=("gini",)))
+        report = asvspoof.ablation_run(data)
         # 8 configurations x 2 dev systems
         assert len(report) == 16
         names = [row.config_name for row in report]
@@ -587,14 +598,11 @@ class TestAblation:
 
         data = {kind: (noisy(10, 30 + i), noisy(8, 40 + i), layout)
                 for i, kind in enumerate(SegmentKind)}
-        grid = [ForestConfig(n_trees=n, criterion=c, seed=3)
-                for n in (6, 1, 3) for c in ("entropy", "gini")]
-        asvspoof.write_report_csv(tmp_path / "prefix.csv",
-                                  asvspoof.ablation_run(data, grid=grid))
-        monkeypatch.setattr(asvspoof, "grid_search",
-                            lambda train, dev, grid, seed: grid_by_cells(train, dev, grid))
-        asvspoof.write_report_csv(tmp_path / "cells.csv",
-                                  asvspoof.ablation_run(data, grid=grid))
+        grid = dict(n_trees=(6, 1, 3), criteria=("entropy", "gini"))
+        monkeypatch.setattr(asvspoof, "grid_search", partial(grid_search, **grid))
+        asvspoof.write_report_csv(tmp_path / "prefix.csv", asvspoof.ablation_run(data, seed=3))
+        monkeypatch.setattr(asvspoof, "grid_search", partial(grid_by_cells, **grid))
+        asvspoof.write_report_csv(tmp_path / "cells.csv", asvspoof.ablation_run(data, seed=3))
         prefix = (tmp_path / "prefix.csv").read_bytes()
         assert prefix == (tmp_path / "cells.csv").read_bytes()
         assert len({line.split(b",")[3] for line in prefix.splitlines()[1:]}) > 2

@@ -333,7 +333,7 @@ class TestAblateCommand:
     def test_features_without_the_default_grid_exit_65(self, tmp_path, capsys, monkeypatch,
                                                       fd_cfg, missing):
         # every row's columns are checked before any tree grows
-        monkeypatch.setattr(asvspoof, "grid_search", lambda *_: pytest.fail("a tree grew"))
+        monkeypatch.setattr(asvspoof, "grid_search", lambda *_, **__: pytest.fail("a tree grew"))
         out = tmp_path / "ablation.csv"
         code = cli.main(["ablate", *self.inputs(tmp_path, fd_cfg, ("silence",)),
                          "--out", str(out)])

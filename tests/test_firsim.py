@@ -252,6 +252,9 @@ class TestSweep:
         (dict(deltas=(float("nan"),)), "every quantization step must be > 0"),
         (dict(n_coeffs_list=(8, 8)), "FIR lengths and frequencies must not repeat"),
         (dict(frequencies=(2, 2)), "FIR lengths and frequencies must not repeat"),
+        (dict(n_coeffs_list=()), "FIR lengths and frequencies must not be empty"),
+        (dict(frequencies=()), "FIR lengths and frequencies must not be empty"),
+        (dict(deltas=()), "bases and quantization steps must not be empty"),
     ])
     def test_settings_rejected_before_any_trial(self, monkeypatch, change, message):
         def no_trial(*args, **kwargs):

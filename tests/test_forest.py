@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_blobs
 from fdspoof import forest
-from fdspoof.exceptions import EmptyDataset, LayoutMismatch, ParseError
+from fdspoof.exceptions import EmptyDataset, LayoutMismatch, ParseError, SettingError
 from fdspoof.forest import (
     CRITERIA,
     ForestConfig,
@@ -132,11 +132,12 @@ def tied_data(seed, n=90, n_features=7):
     return dataset_of(features, labels)
 
 
-def grid_by_cells(train, dev, grid):
-    """Reference grid search: every cell trained on its own and scored with
-    `accuracy`; ties prefer fewer trees, then gini, then grid order."""
+def grid_by_cells(train, dev, n_trees, criteria, seed):
+    """Reference grid search: every cell of n_trees x criteria, trees-major,
+    trained on its own at `seed` and scored with `accuracy`; ties prefer fewer
+    trees, then gini."""
     report, best = [], None
-    for config in grid:
+    for config in [ForestConfig(n, c, seed) for n in n_trees for c in criteria]:
         model = train_forest(train, config)
         acc = accuracy(model, dev)
         report.append(GridCell(config.n_trees, config.criterion, acc))
@@ -335,14 +336,13 @@ class TestPredict:
 class TestGridSearch:
     def test_single_cell_grid(self, blobs):
         dev = make_blobs(30, seed=77)
-        model, report = grid_search(blobs, dev, [ForestConfig(n_trees=10, seed=0)])
+        model, report = grid_search(blobs, dev, (10,), ("gini",))
         assert len(report) == 1
-        assert model.config.n_trees == 10
+        assert model.config == ForestConfig(n_trees=10, seed=0)
 
     def test_tie_prefers_fewer_trees(self, blobs):
         dev = make_blobs(30, seed=88)
-        grid = [ForestConfig(n_trees=100, seed=0), ForestConfig(n_trees=10, seed=0)]
-        model, report = grid_search(blobs, dev, grid)
+        model, report = grid_search(blobs, dev, (100, 10), ("gini",))
         assert report[0].dev_accuracy == report[1].dev_accuracy == 1.0
         assert model.config.n_trees == 10
 
@@ -354,6 +354,18 @@ class TestGridSearch:
             (n, c) for n in (10, 100, 500, 1000) for c in ("gini", "entropy")
         }
         assert all(cell.dev_accuracy == 1.0 for cell in report)
+
+    @pytest.mark.parametrize("n_trees,criteria,message", [
+        ((), CRITERIA, "n_trees and criteria must not be empty"),
+        ((10,), (), "n_trees and criteria must not be empty"),
+        ((10, 0), CRITERIA, "n_trees must be >= 1"),
+        ((10,), ("gini", "x"), "criterion must be one of"),
+    ])
+    def test_rejected_grid_before_any_tree_grows(self, blobs, monkeypatch, n_trees, criteria,
+                                                 message):
+        monkeypatch.setattr(forest, "train_forest", lambda *_: pytest.fail("a tree grew"))
+        with pytest.raises(SettingError, match=message):
+            grid_search(blobs, make_blobs(20), n_trees, criteria)
 
     def test_layout_mismatch(self, blobs):
         dev = make_blobs(20)
@@ -372,16 +384,16 @@ class TestGridSearch:
         monkeypatch.setattr(forest, "_tree_votes", lambda *_: pytest.fail("a tree voted"))
         with pytest.raises(LayoutMismatch, match=f"model splits on feature {widest}, "
                                                  f"but the features have {widest} columns"):
-            grid_search(blobs, narrow, [config])
+            grid_search(blobs, narrow, (10,), ("gini",))
 
 
 class TestGridPrefixes:
     """grid_search scores prefixes of one forest per setting; it must return
     what training and scoring every cell on its own returns."""
 
-    def assert_same_search(self, tmp_path, train, dev, grid):
-        model, report = grid_search(train, dev, grid)
-        want_model, want_report = grid_by_cells(train, dev, grid)
+    def assert_same_search(self, tmp_path, train, dev, n_trees, criteria, seed):
+        model, report = grid_search(train, dev, n_trees, criteria, seed)
+        want_model, want_report = grid_by_cells(train, dev, n_trees, criteria, seed)
         assert report == want_report
         assert model.config == want_model.config
         save_model(model, tmp_path / "prefix.json")
@@ -391,26 +403,24 @@ class TestGridPrefixes:
 
     def test_unsorted_grid_mixed_criteria_two_seeds(self, tmp_path):
         train, dev = tied_data(seed=21, n=120), tied_data(seed=22, n=70)
-        grid = [ForestConfig(n_trees=n, criterion=c, seed=s)
-                for n, c, s in ((7, "entropy", 0), (3, "gini", 5), (12, "gini", 0),
-                                (1, "entropy", 5), (3, "entropy", 0), (7, "gini", 5),
-                                (2, "gini", 0), (12, "entropy", 5))]
-        _, report = self.assert_same_search(tmp_path, train, dev, grid)
-        assert len({cell.dev_accuracy for cell in report}) > 1  # the scores differ
+        n_trees, criteria = (7, 3, 12, 1, 2), ("entropy", "gini")
+        for seed in (0, 5):
+            _, report = self.assert_same_search(tmp_path, train, dev, n_trees, criteria, seed)
+            assert [(cell.n_trees, cell.criterion) for cell in report] == [
+                (n, c) for n in n_trees for c in criteria]
+            assert len({cell.dev_accuracy for cell in report}) > 1  # the scores differ
 
     def test_duplicated_cell(self, tmp_path):
         train, dev = tied_data(seed=23, n=120), tied_data(seed=24, n=70)
-        grid = [ForestConfig(n_trees=n, criterion=c, seed=1)
-                for n, c in ((5, "gini"), (9, "entropy"), (5, "gini"), (2, "gini"))]
-        _, report = self.assert_same_search(tmp_path, train, dev, grid)
-        assert report[0] == report[2]
+        _, report = self.assert_same_search(tmp_path, train, dev, (5, 9, 5, 2),
+                                            ("gini", "entropy"), 1)
+        assert len(report) == 8
+        assert report[:2] == report[4:6]
 
-    def test_tie_picks_fewer_trees_then_gini_then_grid_order(self, tmp_path, blobs):
+    def test_tie_picks_fewer_trees_then_gini(self, tmp_path, blobs):
         dev = make_blobs(30, seed=88)
-        grid = [ForestConfig(n_trees=n, criterion=c, seed=s)
-                for n, c, s in ((9, "gini", 0), (4, "entropy", 0), (4, "gini", 2),
-                                (9, "entropy", 2), (4, "gini", 0))]
-        model, report = self.assert_same_search(tmp_path, blobs, dev, grid)
+        model, report = self.assert_same_search(tmp_path, blobs, dev, (9, 4),
+                                                ("entropy", "gini"), 2)
         assert all(cell.dev_accuracy == 1.0 for cell in report)
         assert model.config == ForestConfig(n_trees=4, criterion="gini", seed=2)
 
@@ -424,8 +434,7 @@ class TestGridPrefixes:
             return real(data, config)
 
         monkeypatch.setattr(forest, "train_forest", counting)
-        grid = [ForestConfig(n_trees=n, criterion=c) for n in (2, 8, 4) for c in CRITERIA]
-        grid_search(train, dev, grid)
+        grid_search(train, dev, (2, 8, 4), CRITERIA)
         assert trained == [8, 8]
 
 
