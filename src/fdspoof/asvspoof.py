@@ -331,17 +331,13 @@ def _record(path: str | Path, lineno: int, text: str,
     else:
         fields = _csv_fields(path, lineno, text)
         n_fields = len(fields)
-    try:
-        if n_fields != width:
-            raise ValueError(f"expected {width} fields, got {n_fields}")
-        label = int(fields[1])
-        if label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {label}")
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: {exc}") from None
+    if n_fields != width:
+        raise ParseError(f"{path}:{lineno}: expected {width} fields, got {n_fields}")
+    if fields[1] not in ("0", "1"):
+        raise ParseError(f"{path}:{lineno}: label must be 0 or 1, got {fields[1]!r}")
     values = ((fields[3] if plain else _value_text(fields[3:]))
               or ValueError("could not convert string to float: ''"))
-    return fields[0], label, fields[2], values
+    return fields[0], int(fields[1]), fields[2], values
 
 
 def _read_values(texts: list[str]) -> np.ndarray:
@@ -389,8 +385,8 @@ def _block_values(path: str | Path, first: int, texts: list[str | ValueError]) -
 def read_feature_csv(path: str | Path) -> tuple[LabeledDataset, tuple[FeatureDescriptor, ...]]:
     """Read a feature CSV; ParseError, with file:line, on undecodable bytes, a
     header without the id columns or any feature column, an unparsable column
-    name, a ragged row, a label outside {0, 1}, an unparsable value or a
-    non-finite value.
+    name, a ragged row, a label other than the text 0 or 1, an unparsable value
+    or a non-finite value.
 
     A record is one line. Each data line is split into its ids and its value
     text, and the value texts of `_BLOCK_LINES` lines at a time are parsed in
@@ -536,9 +532,11 @@ def default_ablation_configs() -> tuple[AblationConfig, ...]:
     return tuple(configs)
 
 
-def _row_columns(layout: tuple[FeatureDescriptor, ...], config: AblationConfig) -> list[int]:
-    """The layout columns of one ablation row; LayoutMismatch, naming the row,
-    if any (base, step) pair it asks for has no column."""
+def _row_columns(layout: tuple[FeatureDescriptor, ...],
+                 config: AblationConfig) -> tuple[list[int], str]:
+    """The layout columns of one ablation row and the layout hash of their
+    sub-layout; LayoutMismatch, naming the row, if any (base, step) pair it
+    asks for has no column."""
     present = {(d.base, d.delta) for d in layout}
     missing = [f"({b}, {s:g})" for b in config.bases for s in config.deltas
                if (b, s) not in present]
@@ -546,19 +544,15 @@ def _row_columns(layout: tuple[FeatureDescriptor, ...], config: AblationConfig) 
         raise LayoutMismatch(f"ablation row {config.name} needs (base, step) "
                              f"{', '.join(missing)}, which the features lack; extract "
                              "them with the default bases and steps")
-    return [i for i, d in enumerate(layout) if d.base in config.bases and d.delta in config.deltas]
+    keep = [i for i, d in enumerate(layout) if d.base in config.bases and d.delta in config.deltas]
+    return keep, fd_features.layout_hash(layout[i] for i in keep)
 
 
-def select_columns(
-    dataset: LabeledDataset,
-    layout: tuple[FeatureDescriptor, ...],
-    config: AblationConfig,
-) -> tuple[LabeledDataset, tuple[FeatureDescriptor, ...]]:
-    """The dataset and layout cut down to one ablation row's columns."""
-    keep = _row_columns(layout, config)
-    sub_layout = tuple(layout[i] for i in keep)
-    return replace(dataset, features=dataset.features[:, keep],
-                   layout_hash=fd_features.layout_hash(sub_layout)), sub_layout
+def select_columns(dataset: LabeledDataset, columns: list[int],
+                   layout_hash: str) -> LabeledDataset:
+    """The dataset cut down to one ablation row's columns and their layout
+    hash, as `_row_columns` gives them."""
+    return replace(dataset, features=dataset.features[:, columns], layout_hash=layout_hash)
 
 
 def ablation_run(
@@ -576,14 +570,12 @@ def ablation_run(
     LayoutMismatch, before any tree grows, if a row's columns are missing.
     """
     configs = [c for c in default_ablation_configs() if c.segment in data_by_segment]
-    for config in configs:
-        _row_columns(data_by_segment[config.segment][2], config)
+    columns = [_row_columns(data_by_segment[c.segment][2], c) for c in configs]
     rows: list[EvalRow] = []
-    for config in configs:
-        train, dev, layout = data_by_segment[config.segment]
-        sub_train, _ = select_columns(train, layout, config)
-        sub_dev, _ = select_columns(dev, layout, config)
-        model, _ = grid_search(sub_train, sub_dev, seed=seed)
+    for config, (keep, sub_hash) in zip(configs, columns):
+        train, dev, _ = data_by_segment[config.segment]
+        sub_dev = select_columns(dev, keep, sub_hash)
+        model, _ = grid_search(select_columns(train, keep, sub_hash), sub_dev, seed=seed)
         rows.extend(evaluate_with_aggregate(model, sub_dev, config.segment.value,
                                             config.name)[:-1])
     return tuple(rows)

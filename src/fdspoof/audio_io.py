@@ -56,6 +56,7 @@ def _read_fmt(chunk: bytes) -> tuple[int, int, int, int]:
 
 
 def _decode_samples(data: bytes, fmt_tag: int, bits: int) -> np.ndarray:
+    """Samples of a data chunk; `decode` has checked that fmt_tag is PCM or IEEE float."""
     if fmt_tag == _WAVE_FORMAT_IEEE_FLOAT:
         if bits != 32:
             raise UnsupportedFormat(f"{bits}-bit float samples not supported")
@@ -64,8 +65,6 @@ def _decode_samples(data: bytes, fmt_tag: int, bits: int) -> np.ndarray:
         if not np.isfinite(out).all():
             raise UnsupportedFormat("non-finite float samples")
         return out
-    if fmt_tag != _WAVE_FORMAT_PCM:
-        raise UnsupportedFormat(f"compressed or unknown format tag 0x{fmt_tag:04x}")
     if bits == 16:
         ints = np.frombuffer(data[: (len(data) // 2) * 2], dtype="<i2").astype(np.int32)
     elif bits == 32:

@@ -46,12 +46,8 @@ class InsufficientData(FdspoofError):
 
 
 class InsufficientDigits(FdspoofError):
-    """Too few non-zero values to form a digit distribution; `cell` is the
-    (column, step) index pair of the short cell where the raiser knows it."""
-
-    def __init__(self, message: str, cell: tuple[int, int] | None = None):
-        super().__init__(message)
-        self.cell = cell
+    """Too few non-zero values to form a digit distribution; the message names
+    the short cell by frequency, base and quantization step."""
 
 
 # forest

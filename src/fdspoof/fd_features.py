@@ -139,13 +139,14 @@ def _first_digits(magnitudes: np.ndarray, base: int) -> np.ndarray:
     return np.floor(mantissa).astype(np.int64)
 
 
-def digit_pmf(columns, deltas, base: int, min_digits: int) -> np.ndarray:
+def digit_pmf(matrix: CepstralMatrix, deltas, base: int, min_digits: int) -> np.ndarray:
     """(k, len(deltas), base-1) digit pmfs, d = 1..base-1, of the non-zero values
-    of each column of an (n, k) matrix divided by each step; InsufficientDigits,
-    with `cell` = (column, step), for the first short cell in row-major order.
-    SettingError naming the first step that some value divided by it overflows."""
+    of each of the k columns of `matrix` divided by each step. InsufficientDigits
+    for the first short cell in row-major order, named by its frequency label,
+    base and step as `cell (f=2, b=10, delta=1): ...`; SettingError naming the
+    first step that some value divided by it overflows."""
     with np.errstate(over="ignore"):
-        quantized = np.asarray(columns, dtype=np.float64)[:, :, None] / np.asarray(deltas)
+        quantized = np.asarray(matrix.values, dtype=np.float64)[:, :, None] / np.asarray(deltas)
     overflowed = ~np.isfinite(quantized).all(axis=(0, 1))
     if overflowed.any():
         step = float(deltas[int(np.argmax(overflowed))])
@@ -156,10 +157,11 @@ def digit_pmf(columns, deltas, base: int, min_digits: int) -> np.ndarray:
     short = np.argwhere(counts < min_digits)
     if short.size:
         column, step = (int(i) for i in short[0])
+        delta = f"{deltas[step]:g}"
         raise InsufficientDigits(
+            f"cell (f={matrix.frequencies[column]}, b={base}, delta={delta}): "
             f"{counts[column, step]} non-zero values < required {min_digits} "
-            f"(base={base}, delta={deltas[step]:g})",
-            cell=(column, step),
+            f"(base={base}, delta={delta})"
         )
     cells = np.broadcast_to(np.arange(counts.size).reshape(counts.shape), quantized.shape)
     digits = _first_digits(np.abs(quantized[nonzero]), base)
@@ -513,20 +515,10 @@ def parse_feature_name(name: str) -> FeatureDescriptor:
 
 def cell_pmfs(matrix: CepstralMatrix, config: FdConfig) -> list[np.ndarray]:
     """Per base, the (frequencies x deltas, base-1) digit pmfs of every cell,
-    frequency-major, as the layout orders them; InsufficientDigits names the
-    first short cell in layout order."""
-    probs = []
-    for base in config.bases:
-        try:
-            pmfs = digit_pmf(matrix.values, config.deltas, base, config.min_digits)
-        except InsufficientDigits as exc:
-            column, step = exc.cell
-            raise InsufficientDigits(
-                f"cell (f={matrix.frequencies[column]}, b={base}, "
-                f"delta={config.deltas[step]:g}): {exc}"
-            ) from None
-        probs.append(pmfs.reshape(-1, base - 1))
-    return probs
+    frequency-major, as the layout orders them; `digit_pmf`'s InsufficientDigits
+    names the first short cell of the first base that has one."""
+    return [digit_pmf(matrix, config.deltas, base, config.min_digits).reshape(-1, base - 1)
+            for base in config.bases]
 
 
 def assemble_features_many(pmfs, config: FdConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -29,7 +29,7 @@ import numpy as np
 # takes about a second, and no command but `simulate` needs it.
 from . import fd_features, parallel
 from .audio_io import REQUIRED_RATE, AudioBuffer, peak_normalize
-from .cepstral import CepstralConfig, mfcc
+from .cepstral import CepstralConfig, CepstralMatrix, mfcc
 from .exceptions import DesignFailure, FdspoofError, SettingError
 from .fd_features import FdConfig, digit_pmf
 # fit_benford and divergences, the single-pmf wrappers, are not called here;
@@ -143,7 +143,8 @@ def _sweep_chunk(trials, signal_len: int) -> list[tuple[float, bool] | str]:
         try:
             buffer = apply_fir(gaussian_source(signal_len, trial_seed), coeffs)
             matrix = mfcc(buffer)
-            column = matrix.values[:, [matrix.frequencies.index(frequency)]]
+            column = CepstralMatrix(matrix.values[:, [matrix.frequencies.index(frequency)]],
+                                    (frequency,))
             pmfs.append(digit_pmf(column, (delta,), SWEEP_BASE, fd_cfg.min_digits)[0, 0])
             outcomes.append(len(pmfs) - 1)
         except FdspoofError as exc:

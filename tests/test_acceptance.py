@@ -275,8 +275,9 @@ def test_criterion_11_table_one_vs_one(corpus_models):
         train_ds, dev_ds, _ = corpus_models[SegmentKind.SILENCE]
         d1_3 = asvspoof.AblationConfig("silence_d1-3", SegmentKind.SILENCE, (10, 20),
                                        (1.0, 2.0, 3.0))
-        sub_train, _ = asvspoof.select_columns(train_ds, layout, d1_3)
-        sub_dev, _ = asvspoof.select_columns(dev_ds, layout, d1_3)
+        columns = asvspoof._row_columns(layout, d1_3)
+        sub_train = asvspoof.select_columns(train_ds, *columns)
+        sub_dev = asvspoof.select_columns(dev_ds, *columns)
         model, _ = grid_search(sub_train, sub_dev, seed=0)
         rows = asvspoof.evaluate_with_aggregate(model, sub_dev, "silence", "d1-3")[:-1]
         by_id = {row.system_id: row.accuracy for row in rows}

@@ -302,6 +302,19 @@ class TestFeatureCsv:
             read_feature_csv(path)
         assert str(info.value) == f"{path}:3: could not convert string to float: 'x1'"
 
+    @pytest.mark.parametrize("label", ["\uff11", "\u0661", "1 "])
+    def test_label_other_than_the_text_0_or_1_names_its_line(self, tmp_path, label):
+        # int() reads a fullwidth or Arabic-Indic digit, and spaces around
+        # one; the writer only ever writes 0 or 1
+        layout = feature_layout(FdConfig(bases=(10,), deltas=(1.0,)), (2,))
+        path = tmp_path / "f.csv"
+        path.write_text("record_id,label,system_id," + ",".join(d.name for d in layout)
+                        + f"\na,0,-,1.0,2.0,3.0,4.0\nb,{label},A01,1.0,2.0,3.0,4.0\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            read_feature_csv(path)
+        assert str(info.value) == f"{path}:3: label must be 0 or 1, got {label!r}"
+
     def test_empty_value_of_one_column_file_names_its_line(self, tmp_path):
         # numpy skips an empty line, which would shift every later id against
         # the features
@@ -545,21 +558,23 @@ class TestColumnSelection:
     def test_delta_subset_is_104_columns(self):
         layout = feature_layout(FdConfig(), tuple(range(2, 15)))
         data = synthetic_dataset(3, layout, seed=6)
-        sub, sub_layout = select_columns(data, layout, silence_row((10, 20), (1.0,)))
+        row = silence_row((10, 20), (1.0,))
+        sub = select_columns(data, *asvspoof._row_columns(layout, row))
         assert sub.features.shape[1] == 104
-        assert len(sub_layout) == 104
+        assert sub.layout_hash == layout_hash([d for d in layout if d.delta == 1.0])
 
     def test_base_subset_is_208_columns(self):
         layout = feature_layout(FdConfig(), tuple(range(2, 15)))
         data = synthetic_dataset(3, layout, seed=7)
-        sub, sub_layout = select_columns(data, layout, silence_row((10,), (1.0, 2.0, 3.0, 4.0)))
+        row = silence_row((10,), (1.0, 2.0, 3.0, 4.0))
+        sub = select_columns(data, *asvspoof._row_columns(layout, row))
         assert sub.features.shape[1] == 208
 
     def test_whole_subset_equals_original(self):
         layout = feature_layout(FdConfig(), tuple(range(2, 15)))
         data = synthetic_dataset(3, layout, seed=8)
-        sub, sub_layout = select_columns(data, layout,
-                                         silence_row((10, 20), (1.0, 2.0, 3.0, 4.0)))
+        row = silence_row((10, 20), (1.0, 2.0, 3.0, 4.0))
+        sub = select_columns(data, *asvspoof._row_columns(layout, row))
         assert np.array_equal(sub.features, data.features)
         assert sub.layout_hash == data.layout_hash
 

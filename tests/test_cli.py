@@ -493,7 +493,8 @@ class TestRejectedInput:
 
     @pytest.mark.parametrize("probe", ["ragged_row", "bad_column_name", "non_finite", "label_7",
                                        "undecodable", "short_header", "ids_only_header",
-                                       "blank_line", "bare_cr", "open_quote", "underscore"])
+                                       "blank_line", "bare_cr", "open_quote", "underscore",
+                                       "label_+1", "label_0_0", "label_ 1"])
     def test_malformed_feature_csv_exits_2(self, extracted, tmp_path, capsys, probe):
         _, features = extracted
         lines = features.read_text().splitlines()
@@ -519,7 +520,8 @@ class TestRejectedInput:
         elif probe == "underscore":
             lines[2] = ",".join(fields[:5] + ["1_0"] + fields[6:])  # float() reads it as 10
         else:
-            lines[2] = ",".join(fields[:1] + ["7"] + fields[2:])
+            # int() reads every label probe but 7 as 0 or 1
+            lines[2] = ",".join(fields[:1] + [probe.removeprefix("label_")] + fields[2:])
         bad = tmp_path / "bad.csv"
         bad.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
         code = cli.main([

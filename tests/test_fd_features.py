@@ -71,9 +71,18 @@ def per_cell_pmf(column, delta, base, min_digits=MIN_DIGITS):
     return np.bincount(digits, minlength=base)[1:base] / nonzero.size
 
 
+def labelled(values):
+    """An (n, k) value matrix as a CepstralMatrix of the kept coefficients 2, 3, ..."""
+    return CepstralMatrix(values=values, frequencies=tuple(range(2, 2 + values.shape[1])))
+
+
+def matrix_from_columns(columns):
+    return labelled(np.column_stack(columns))
+
+
 def column_pmf(values, delta, base, min_digits=MIN_DIGITS):
     """`digit_pmf` of one column at one step."""
-    return fd.digit_pmf(np.asarray(values)[:, None], (delta,), base, min_digits)[0, 0]
+    return fd.digit_pmf(matrix_from_columns([values]), (delta,), base, min_digits)[0, 0]
 
 
 def features(matrix, config=fd.FdConfig()):
@@ -87,7 +96,7 @@ class TestQuantize:
 
     def test_arithmetic(self):
         # 6 / 3 = 2, and 6 / 7 = 0.857... has first digit 8
-        pmfs = fd.digit_pmf(np.array([[6.0]]), (3.0, 7.0), 10, 1)
+        pmfs = fd.digit_pmf(labelled(np.array([[6.0]])), (3.0, 7.0), 10, 1)
         assert np.argmax(pmfs[0, 0]) + 1 == 2 and np.argmax(pmfs[0, 1]) + 1 == 8
 
     def test_identity(self):
@@ -97,7 +106,7 @@ class TestQuantize:
 
     def test_sign_passes_through(self):
         # -4.4 / 4 = -1.1 and -4.4 / 0.5 = -8.8 count by magnitude
-        pmfs = fd.digit_pmf(np.array([[-4.4]]), (4.0, 0.5), 10, 1)
+        pmfs = fd.digit_pmf(labelled(np.array([[-4.4]])), (4.0, 0.5), 10, 1)
         assert pmfs[0, 0, 0] == 1.0 and pmfs[0, 1, 7] == 1.0
 
 
@@ -145,32 +154,35 @@ class TestDigitPmf:
         values = np.array([0.0, 3.0, 0.0, 3.0])
         assert column_pmf(values, 1.0, 10, 2)[2] == 1.0
         # two non-zero values: a third required digit is missing
-        with pytest.raises(InsufficientDigits, match=r"^2 non-zero values < required 3 "):
+        with pytest.raises(InsufficientDigits,
+                           match=r"^cell \(f=2, b=10, delta=1\): 2 non-zero values < required 3 "):
             column_pmf(values, 1.0, 10, 3)
 
     def test_insufficient_digits(self):
         with pytest.raises(InsufficientDigits) as info:
             column_pmf(np.array([1.0, 2.0]), 1.0, 10, 10)
-        assert str(info.value) == "2 non-zero values < required 10 (base=10, delta=1)"
-        assert info.value.cell == (0, 0)
+        cell, detail = str(info.value).split(": ", 1)
+        assert detail == "2 non-zero values < required 10 (base=10, delta=1)"
+        assert cell == "cell (f=2, b=10, delta=1)"
 
     def test_first_short_cell_in_row_major_order(self):
         # 1e-30 / 1e300 underflows to zero, so column 0 runs short at the
         # second step only; column 1 is short at every step
-        columns = np.column_stack([np.r_[np.full(5, 1e-30), np.ones(10)],
-                                   np.r_[np.zeros(5), np.ones(10)]])
+        columns = matrix_from_columns([np.r_[np.full(5, 1e-30), np.ones(10)],
+                                       np.r_[np.zeros(5), np.ones(10)]])
         with pytest.raises(InsufficientDigits) as info:
             fd.digit_pmf(columns, (1.0, 1e300), 20, 12)
-        assert info.value.cell == (0, 1)
-        assert str(info.value) == "10 non-zero values < required 12 (base=20, delta=1e+300)"
+        cell, detail = str(info.value).split(": ", 1)
+        assert cell == "cell (f=2, b=20, delta=1e+300)"
+        assert detail == "10 non-zero values < required 12 (base=20, delta=1e+300)"
         assert fd.digit_pmf(columns, (1.0, 1e300), 20, 10).shape == (2, 2, 19)
 
     def test_overflowing_step_is_a_setting_error(self):
         # 1 / 1e-320 overflows to inf, which has no first digit
         columns = np.array([[1e-30, 1.0], [2e-30, 1e-30]] * 10)
         with pytest.raises(SettingError, match=r"^quantization step 1e-320 is too small"):
-            fd.digit_pmf(columns, (1.0, 1e-320), 10, 1)
-        assert fd.digit_pmf(columns[:, :1], (1.0, 1e-290), 10, 1).shape == (1, 2, 9)
+            fd.digit_pmf(labelled(columns), (1.0, 1e-320), 10, 1)
+        assert fd.digit_pmf(labelled(columns[:, :1]), (1.0, 1e-290), 10, 1).shape == (1, 2, 9)
 
     def test_benford_sampled_monte_carlo(self):
         rng = np.random.default_rng(2)
@@ -182,7 +194,7 @@ class TestDigitPmf:
     def test_stretching_by_base_power_leaves_pmf_unchanged(self):
         rng = np.random.default_rng(3)
         values = 10.0 ** rng.uniform(-2, 2, 2000)
-        pmfs = fd.digit_pmf(values[:, None], (1.0, 10.0, 100.0, 0.1), 10, MIN_DIGITS)[0]
+        pmfs = fd.digit_pmf(labelled(values[:, None]), (1.0, 10.0, 100.0, 0.1), 10, MIN_DIGITS)[0]
         for pmf in pmfs[1:]:
             assert np.array_equal(pmf, pmfs[0])
 
@@ -194,7 +206,7 @@ class TestDigitPmf:
         columns[:40, 2] = np.arange(1, 41)
         deltas = (1.0, 0.008, 3.0, 1e300)
         for base in (2, 10, 20):
-            pmfs = fd.digit_pmf(columns, deltas, base, 1)
+            pmfs = fd.digit_pmf(labelled(columns), deltas, base, 1)
             assert pmfs.shape == (5, 4, base - 1)
             for column in range(5):
                 for step, delta in enumerate(deltas):
@@ -939,11 +951,6 @@ class TestDivergences:
         assert got.renyi == pytest.approx(want[1], rel=1e-6, abs=1e-12)
         assert got.tsallis == pytest.approx(want[2], rel=1e-6, abs=1e-12)
         assert got.mse == pytest.approx(want[3], rel=1e-9)
-
-
-def matrix_from_columns(columns):
-    values = np.column_stack(columns)
-    return CepstralMatrix(values=values, frequencies=tuple(range(2, 2 + values.shape[1])))
 
 
 def isotonic_fit(y):

@@ -6,7 +6,7 @@ from scipy import signal as sp_signal
 
 from fdspoof import firsim
 from fdspoof.audio_io import AudioBuffer
-from fdspoof.cepstral import mfcc
+from fdspoof.cepstral import CepstralMatrix, mfcc
 from fdspoof.exceptions import (
     DesignFailure,
     EmptySignal,
@@ -168,7 +168,7 @@ def scalar_sweep(n_coeffs_list, deltas, frequencies, n_trials, signal_len, seed)
             source = firsim.gaussian_source(signal_len, trial_seed(seed, cell_index, trial))
             buffer = apply_fir(source, coeffs)
             matrix = mfcc(buffer)
-            column = matrix.values[:, [matrix.frequencies.index(freq)]]
+            column = CepstralMatrix(matrix.values[:, [matrix.frequencies.index(freq)]], (freq,))
             try:
                 pmf = firsim.digit_pmf(column, (delta,), firsim.SWEEP_BASE,
                                        FdConfig().min_digits)[0, 0]
@@ -277,7 +277,8 @@ class TestSweep:
         from fdspoof.cepstral import mfcc
 
         buf = apply_fir(gaussian_source(1 << 16, 5), design_fir(8))
-        column = mfcc(buf).values[:, :1]
+        matrix = mfcc(buf)
+        column = CepstralMatrix(matrix.values[:, :1], matrix.frequencies[:1])
         reference, *stretched = digit_pmf(column, (1.0, 10.0, 100.0), 10, 10)[0]
         for pmf in stretched:
             assert np.array_equal(pmf, reference)
