@@ -32,6 +32,8 @@ class CepstralConfig:
     def __post_init__(self) -> None:
         if not (0 < self.hop <= self.frame_len):
             raise SettingError("hop must be in (0, frame_len]")
+        if self.frame_len < 2:  # a 1-point Hann window divides 0 by 0
+            raise SettingError("frame_len must be >= 2")
         if self.frame_len & (self.frame_len - 1):
             raise SettingError("frame_len must be a power of two")
         if not (1 <= self.coeff_lo <= self.coeff_hi <= self.n_filters):

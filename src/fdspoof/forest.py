@@ -3,8 +3,11 @@
 CART-style greedy trees: at each node a seeded floor(sqrt(p)) of the p features
 are drawn, candidate thresholds lie between consecutive sorted unique values a < b
 (the midpoint, or a where the midpoint would round or overflow out of [a, b)),
-and the split maximizing impurity decrease (gini or entropy) wins; all
-candidate features of a node are sorted and scored in one vectorized call.
+and the split maximizing impurity decrease (gini or entropy) wins. A forest
+keeps its features feature-major (one contiguous copy of X.T), so a node
+gathers its candidates x rows block in one index, sorts and scores every row
+of it at once, and takes its children from the winning row's sort order, with
+their impurities from the scored cut.
 Trees grow to full size: until every leaf is pure or has no cut. Each tree of a
 forest trains on an independent bootstrap seeded by (seed + tree_index); the
 bootstrap and the floor(sqrt(p)) draw are Breiman's (2001), fixed, not settings.
@@ -94,67 +97,84 @@ class TrainedModel:
 def _impurity(counts0: np.ndarray, counts1: np.ndarray, total: np.ndarray, criterion: str) -> np.ndarray:
     p0 = counts0 / total
     p1 = counts1 / total
-    if criterion == "gini":
-        return 1.0 - p0 * p0 - p1 * p1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e0 = np.where(p0 > 0.0, p0 * np.log2(p0), 0.0)
-        e1 = np.where(p1 > 0.0, p1 * np.log2(p1), 0.0)
-    return -(e0 + e1)
+    if criterion == "gini":  # 1 - p0*p0 - p1*p1
+        p0 *= p0
+        p1 *= p1
+        np.subtract(1.0, p0, out=p0)
+        p0 -= p1
+        return p0
+    e0 = np.log2(p0, out=np.zeros_like(p0), where=p0 > 0.0)  # -(p0*log2 p0 + p1*log2 p1)
+    e0 *= p0
+    e1 = np.log2(p1, out=np.zeros_like(p1), where=p1 > 0.0)
+    e1 *= p1
+    e0 += e1
+    return np.negative(e0, out=e0)
 
 
-def _best_split(block: np.ndarray, y: np.ndarray, criterion: str):
-    """Best (column, threshold) over the columns of one node's block, or None.
+def _best_split(block: np.ndarray, y: np.ndarray, impurity: float, criterion: str):
+    """Best split of one node over the rows of its block, or None: the
+    winning row's index, the threshold, and the (positions, impurity) of the
+    left and the right child.
 
-    `block` is the node's rows x candidate features and `y` the node's labels.
-    Every column is sorted and scored at once: a cut after sorted position i
-    is valid where the value strictly increases there, from a to b; its
-    threshold t keeps a <= t < b, so `x <= t` sends exactly the scored rows
-    left. Ties go to the first column, then the first cut, so the winner is
-    what scoring the columns one by one in order would pick. A cut never falls
-    inside a run of equal values, so the order of tied rows, and with it the
-    sort's kind, changes no count at a cut.
+    `block` is the candidate features x the node's rows, `y` the node's labels
+    (as floats, so every count is exact and the divisions need no int cast)
+    and `impurity` the node's own. Every row is sorted and scored at once: a
+    cut after sorted position i is valid where the value strictly increases
+    there, from a to b; its threshold t keeps a <= t < b, so the cut's left
+    positions are exactly the rows with `x <= t`. Ties go to the first row,
+    then the first cut, so the winner is what scoring the features one by one
+    in order would pick. A cut never falls inside a run of equal values, so
+    the order of tied rows, and with it the sort's kind, changes no count at a
+    cut and no child's set of rows.
     """
-    m = block.shape[0]
-    order = np.argsort(block, axis=0)
-    xs = np.take_along_axis(block, order, axis=0)
-    ones = np.cumsum(y[order], axis=0)
-    n_left = np.arange(1, m)[:, None]  # a cut after position i leaves i + 1 rows left
+    k, m = block.shape
+    order = np.argsort(block, axis=1)
+    xs = block[np.arange(k)[:, None], order]
+    ones = y[order].cumsum(axis=1)
+    n_left = np.arange(1.0, m)  # a cut after position i leaves i + 1 rows left
     n_right = m - n_left
-    valid = xs[:-1] < xs[1:]
-    ones_left = ones[:-1]
-    ones_right = ones[-1] - ones_left
+    ones_left = ones[:, :-1]
+    ones_right = ones[:, -1:] - ones_left
     imp_left = _impurity(n_left - ones_left, ones_left, n_left, criterion)
     imp_right = _impurity(n_right - ones_right, ones_right, n_right, criterion)
-    total_ones = ones[-1, 0]
-    imp_parent = _impurity(np.array([m - total_ones]), np.array([total_ones]),
-                           np.array([m]), criterion)[0]
-    gain = np.where(valid, imp_parent - (n_left * imp_left + n_right * imp_right) / m,
-                    -np.inf)
-    column, cut = divmod(int(np.argmax(gain.T)), m - 1)
-    if gain[cut, column] == -np.inf:
+    gain = n_left * imp_left
+    gain += n_right * imp_right
+    gain /= m
+    np.subtract(impurity, gain, out=gain)
+    gain[~(xs[:, :-1] < xs[:, 1:])] = -np.inf
+    best, cut = divmod(int(np.argmax(gain)), m - 1)
+    if gain[best, cut] == -np.inf:
         return None
-    a, b = float(xs[cut, column]), float(xs[cut + 1, column])
+    a, b = float(xs[best, cut]), float(xs[best, cut + 1])
     threshold = 0.5 * (a + b)  # a float sum overflows to inf without a warning
-    return column, threshold if a <= threshold < b else a
+    return (best, threshold if a <= threshold < b else a,
+            ((order[best, :cut + 1], imp_left[best, cut]),
+             (order[best, cut + 1:], imp_right[best, cut])))
 
 
-def _grow(X: np.ndarray, y: np.ndarray, rows: np.ndarray, n_split: int, criterion: str,
+def _grow(XT: np.ndarray, y: np.ndarray, rows: np.ndarray, n_split: int, criterion: str,
           seed: int) -> Tree:
-    """The tree grown on `rows` of X, drawing `n_split` candidate features per
-    node from `seed`: depth-first, left child first, with an explicit stack."""
+    """The tree grown on `rows` of the feature-major XT (features x records),
+    drawing `n_split` candidate features per node from `seed`: depth-first,
+    left child first, with an explicit stack."""
     rng = np.random.default_rng(seed)
+    y = y.astype(np.float64)
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     counts: list[list[int]] = []
-    stack: list[tuple[np.ndarray, int, int]] = [(rows, -1, 0)]
+    ones = y[rows].sum()
+    root = _impurity(np.array([rows.size - ones]), np.array([ones]), np.array([rows.size]),
+                     criterion)[0]
+    stack: list[tuple[np.ndarray, int, int, float]] = [(rows, -1, 0, root)]
     while stack:
-        node_rows, parent, side = stack.pop()
+        node_rows, parent, side, impurity = stack.pop()
         node = len(feature)
         if parent >= 0:
             (left if side == 0 else right)[parent] = node
-        ones = int(y[node_rows].sum())
+        labels = y[node_rows]
+        ones = int(labels.sum())
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
@@ -163,20 +183,20 @@ def _grow(X: np.ndarray, y: np.ndarray, rows: np.ndarray, n_split: int, criterio
         if ones == 0 or ones == node_rows.size:  # pure, so a 1-row node too
             continue
 
-        candidates = rng.choice(X.shape[1], size=n_split, replace=False)
+        candidates = rng.choice(XT.shape[0], size=n_split, replace=False)
         # zero-gain splits are accepted (like sklearn): XOR-style data needs a
         # neutral first cut before any purity shows up; recursion still ends
         # because both sides are strictly smaller
-        found = _best_split(X[np.ix_(node_rows, candidates)], y[node_rows], criterion)
+        found = _best_split(XT[candidates[:, None], node_rows], labels, impurity, criterion)
         if found is None:
             continue
 
-        column, threshold[node] = found
-        feature[node] = int(candidates[column])
-        mask = X[node_rows, feature[node]] <= threshold[node]
+        best, threshold[node], children = found
+        feature[node] = int(candidates[best])
         # push right first so the left child is grown (and numbered) first
-        stack.append((node_rows[~mask], node, 1))
-        stack.append((node_rows[mask], node, 0))
+        for side in (1, 0):
+            positions, child_impurity = children[side]
+            stack.append((node_rows[positions], node, side, child_impurity))
     return Tree(feature, threshold, left, right, counts)
 
 
@@ -188,9 +208,10 @@ def train_forest(data: LabeledDataset, config: ForestConfig) -> TrainedModel:
     if len(np.unique(data.labels)) < 2:
         raise EmptyDataset("training data must contain both classes")
     X, y, n = data.features, data.labels, data.n_records
+    XT = np.ascontiguousarray(X.T)  # a node gathers and sorts its candidates along rows
     n_split = max(1, int(np.sqrt(X.shape[1])))
     trees = tuple(
-        _grow(X, y, np.sort(np.random.default_rng(seed).integers(0, n, size=n)), n_split,
+        _grow(XT, y, np.sort(np.random.default_rng(seed).integers(0, n, size=n)), n_split,
               config.criterion, seed)
         for seed in range(config.seed, config.seed + config.n_trees)
     )

@@ -162,7 +162,7 @@ def test_criterion_8_forest_sanity(tmp_path):
         xor_features = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         xor = LabeledDataset(xor_features, np.array([0, 1, 1, 0]),
                              ("a", "b", "c", "d"), "xor")
-        tree = forest._grow(xor.features, xor.labels, np.arange(4), 2, "gini", 0)
+        tree = forest._grow(xor.features.T.copy(), xor.labels, np.arange(4), 2, "gini", 0)
         assert [walk_tree(tree, r) for r in xor_features] == [0, 1, 1, 0]
 
         for name in ("m1.json", "m2.json"):

@@ -396,6 +396,7 @@ class TestRejectedInput:
         (["simulate", "--seed", "-1"], None, "argument --seed: must be >= 0"),
         (["simulate", "--nc-list", "8,8"], None, "FIR lengths and frequencies must not repeat"),
         (["simulate", "--frequencies", "5,5"], None, "FIR lengths and frequencies must not repeat"),
+        (["extract", "--frame-len", "1", "--hop", "1"], None, "frame_len must be >= 2"),
     ])
     def test_rejected_setting_is_usage_error(self, extracted, cli_corpus, tmp_path, capsys,
                                              argv, config, message):

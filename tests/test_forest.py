@@ -16,7 +16,6 @@ from fdspoof.forest import (
     LabeledDataset,
     Tree,
     TrainedModel,
-    _impurity,
     accuracy,
     grid_search,
     load_model,
@@ -49,6 +48,19 @@ def predict(model, features):
     return (1 if score > 0.5 else 0), score
 
 
+def impurity(counts0, counts1, total, criterion):
+    """Reference impurity of each class-count pair: 1 - p0^2 - p1^2 (gini) or
+    -(p0 log2 p0 + p1 log2 p1) with 0 log2 0 = 0 (entropy)."""
+    p0 = counts0 / total
+    p1 = counts1 / total
+    if criterion == "gini":
+        return 1.0 - p0 * p0 - p1 * p1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e0 = np.where(p0 > 0.0, p0 * np.log2(p0), 0.0)
+        e1 = np.where(p1 > 0.0, p1 * np.log2(p1), 0.0)
+    return -(e0 + e1)
+
+
 def split_one_feature(x, y, criterion):
     """Reference split search over one feature: best (threshold, gain), or None.
     The threshold is the midpoint of the cut's values a < b, or a where the
@@ -65,11 +77,11 @@ def split_one_feature(x, y, criterion):
     ones = np.cumsum(ys)
     ones_left = ones[cut]
     ones_right = ones[-1] - ones_left
-    imp_left = _impurity(n_left - ones_left, ones_left, n_left, criterion)
-    imp_right = _impurity(n_right - ones_right, ones_right, n_right, criterion)
+    imp_left = impurity(n_left - ones_left, ones_left, n_left, criterion)
+    imp_right = impurity(n_right - ones_right, ones_right, n_right, criterion)
     total_ones = ones[-1]
-    imp_parent = _impurity(np.array([n - total_ones]), np.array([total_ones]),
-                           np.array([n]), criterion)[0]
+    imp_parent = impurity(np.array([n - total_ones]), np.array([total_ones]),
+                          np.array([n]), criterion)[0]
     gain = imp_parent - (n_left * imp_left + n_right * imp_right) / n
     best = int(np.argmax(gain))
     a, b = float(xs[cut[best]]), float(xs[cut[best] + 1])
@@ -132,6 +144,31 @@ def tied_data(seed, n=90, n_features=7):
     return dataset_of(features, labels)
 
 
+def wide_data(tied, n=200, n_features=40):
+    """floor(sqrt(40)) = 6 candidate features per node: tied_data's coarse
+    grid, or continuous columns with the same labelling rule."""
+    if tied:
+        return tied_data(seed=9, n=n, n_features=n_features)
+    rng = np.random.default_rng(9)
+    features = rng.normal(0.0, 1.0, (n, n_features))
+    noise = rng.normal(0.0, 1.0, n)
+    labels = (features[:, 0] + features[:, 1] * features[:, 2] + noise > 0).astype(int)
+    return dataset_of(features, labels)
+
+
+def split_oracle_cases():
+    """(criterion, data, bootstrap, per_split): tied 7-column data from seeds
+    1, 3, 5 and 7 in every combination, then a 40-column forest, continuous
+    and tied, for each criterion."""
+    for criterion, seed, offset, bootstrap, per_split in itertools.product(
+            CRITERIA, (1, 3), (None, 4), (True, False), (1, None)):
+        yield pytest.param(criterion, tied_data(seed=seed + (offset or 0)), bootstrap, per_split,
+                           id=f"{criterion}-{seed}-{offset}-{bootstrap}-{per_split}")
+    for criterion, tied in itertools.product(CRITERIA, (False, True)):
+        yield pytest.param(criterion, wide_data(tied), True, None,
+                           id=f"{criterion}-wide-{'tied' if tied else 'continuous'}")
+
+
 def grid_by_cells(train, dev, n_trees, criteria, seed):
     """Reference grid search: every cell of n_trees x criteria, trees-major,
     trained on its own at `seed` and scored with `accuracy`; ties prefer fewer
@@ -149,7 +186,8 @@ def grid_by_cells(train, dev, n_trees, criteria, seed):
 
 def one_tree(data, rows, n_split, seed, criterion="gini"):
     """The tree that the grower grows on `rows` with `n_split` candidates."""
-    return forest._grow(data.features, data.labels, rows, n_split, criterion, seed)
+    features = np.ascontiguousarray(data.features.T)
+    return forest._grow(features, data.labels, rows, n_split, criterion, seed)
 
 
 def bootstrap_rows(n, seed):
@@ -191,24 +229,21 @@ class TestTrainTree:
         # splits the same rows forever; check the split before growing a tree
         block, y = np.array(values)[:, None], np.array(labels)
         a, b = values[labels.index(1) - 1], values[labels.index(1)]
-        column, threshold = forest._best_split(block, y, "gini")
+        zeros, ones = labels.count(0), labels.count(1)
+        node = impurity(np.array([zeros]), np.array([ones]), np.array([len(labels)]), "gini")[0]
+        column, threshold, _ = forest._best_split(block.T, y, node, "gini")
         assert column == 0 and a <= threshold < b
         tree = one_tree(dataset_of(block, labels), np.arange(len(values)), 1, seed=0)
         assert tree.feature.tolist() == [0, -1, -1]
         assert tree.threshold[0] == a
-        zeros, ones = labels.count(0), labels.count(1)
         assert tree.counts.tolist() == [[zeros, ones], [zeros, 0], [0, ones]]
 
 
 class TestSplitOracle:
-    @pytest.mark.parametrize("criterion,seed,offset,bootstrap,per_split",
-                             list(itertools.product(CRITERIA, (1, 3), (None, 4),
-                                                    (True, False), (1, None))))
-    def test_forest_matches_per_feature_search(self, criterion, seed, offset, bootstrap,
-                                               per_split):
-        # train_forest grows bootstrap rows with floor(sqrt(7)) = 2 candidates
-        # per node; every other (rows, n_split) goes through the grower
-        data = tied_data(seed=seed + (offset or 0))  # data seeds 1, 3, 5 and 7
+    @pytest.mark.parametrize("criterion,data,bootstrap,per_split", split_oracle_cases())
+    def test_forest_matches_per_feature_search(self, criterion, data, bootstrap, per_split):
+        # train_forest grows bootstrap rows with floor(sqrt(p)) candidates per
+        # node; every other (rows, n_split) goes through the grower
         n = data.n_records
         n_split = per_split or math.isqrt(data.features.shape[1])
         rows = [bootstrap_rows(n, 11 + t) if bootstrap else np.arange(n) for t in range(4)]
@@ -250,6 +285,28 @@ class TestSplitOracle:
         assert stable_calls
         for tree, reference in zip(grown.trees, stable.trees, strict=True):
             assert_same_tree(tree, reference)
+
+    @pytest.mark.parametrize("criterion,tied", list(itertools.product(CRITERIA, (False, True))))
+    def test_children_are_the_threshold_partition_with_their_own_impurity(self, criterion,
+                                                                          tied):
+        # a child's rows come from the winning row's sort order and its impurity
+        # from the scored cut; both must be what counting the child afresh gives
+        data = wide_data(tied)
+        block = np.ascontiguousarray(data.features.T[:6])
+        for rows in (np.arange(data.n_records), np.arange(0, data.n_records, 3),
+                     np.arange(17)):
+            y = data.labels[rows]
+            ones = int(y.sum())
+            node = impurity(np.array([rows.size - ones]), np.array([ones]),
+                            np.array([rows.size]), criterion)[0]
+            column, threshold, children = forest._best_split(block[:, rows], y, node, criterion)
+            goes_left = block[column, rows] <= threshold
+            for (positions, child), side in zip(children, (goes_left, ~goes_left), strict=True):
+                assert np.array_equal(np.sort(positions), np.flatnonzero(side))
+                ones = int(y[positions].sum())
+                fresh = impurity(np.array([positions.size - ones]), np.array([ones]),
+                                 np.array([positions.size]), criterion)[0]
+                assert np.float64(child).tobytes() == fresh.tobytes()
 
     def test_node_without_a_cut_is_a_leaf(self):
         data = dataset_of([[1.0, 2.0]] * 4, [0, 1, 0, 1])  # constant columns: no cut at all
