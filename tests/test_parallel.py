@@ -38,6 +38,22 @@ def blas_threads_chunk(items):
     return [openblas_threads() for _ in items]
 
 
+def os_threads_chunk(items):
+    return [len(os.listdir("/proc/self/task")) for _ in items]
+
+
+def failing_chunk(items):
+    raise ValueError(f"chunk starting at {items[0]} failed")
+
+
+def set_blas_env(monkeypatch, env):
+    """Unset `OPENBLAS_NUM_THREADS` (env None) or set it to `env`."""
+    if env is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", env)
+
+
 class TestChunk:
     @pytest.mark.parametrize("n, jobs, sizes", [
         (7, 1, [7]),
@@ -87,17 +103,55 @@ class TestOneBlasThread:
     @pytest.mark.parametrize("maps", ["", MAPS_LINE.format("/usr/lib/libc.so.6") + "\n"])
     def test_no_openblas_in_maps_returns_cleanly(self, maps, tmp_path, monkeypatch):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        environ = dict(os.environ)
         path = tmp_path / "maps"
         path.write_text(maps)
         assert openblas_paths(maps) == []
-        assert one_blas_thread(str(path)) is None
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        with one_blas_thread(str(path)) as entered:
+            assert entered is None
+            assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        assert dict(os.environ) == environ
 
     def test_missing_maps_file_returns_cleanly(self, tmp_path, monkeypatch):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        assert one_blas_thread(str(tmp_path / "no-maps")) is None
+        environ = dict(os.environ)
+        with one_blas_thread(str(tmp_path / "no-maps")) as entered:
+            assert entered is None
+            assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        assert dict(os.environ) == environ
+
+    def test_block_runs_this_process_on_one_openblas_thread(self):
+        before = openblas_threads()
+        if before is None:
+            pytest.skip("no OpenBLAS thread-count getter in this process")
+        with one_blas_thread():
+            assert openblas_threads() == 1
+        assert openblas_threads() == before
 
     def test_pool_workers_run_one_openblas_thread(self):
         if openblas_threads() is None:
             pytest.skip("no OpenBLAS thread-count getter in this process")
         assert map_chunks(blas_threads_chunk, list(range(4)), 2) == [1] * 4
+
+    def test_pool_workers_run_one_os_thread(self):
+        # the setter call in a forked worker starts a busy-waiting helper thread
+        if not os.path.isdir("/proc/self/task") or openblas_threads() is None:
+            pytest.skip("no /proc/self/task or no OpenBLAS thread-count getter")
+        assert map_chunks(os_threads_chunk, list(range(4)), 2) == [1] * 4
+
+    @pytest.mark.parametrize("env", [None, "4"])
+    def test_caller_state_is_restored_after_the_pool_returns(self, env, monkeypatch):
+        set_blas_env(monkeypatch, env)
+        before = openblas_threads()
+        assert map_chunks(tag_chunk, list(range(4)), 2) == [(i, i // 2 * 2) for i in range(4)]
+        assert openblas_threads() == before
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == env
+
+    @pytest.mark.parametrize("env", [None, "4"])
+    def test_caller_state_is_restored_after_a_worker_raises(self, env, monkeypatch):
+        set_blas_env(monkeypatch, env)
+        before = openblas_threads()
+        with pytest.raises(ValueError, match="chunk starting at 0 failed"):
+            map_chunks(failing_chunk, list(range(4)), 2)
+        assert openblas_threads() == before
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == env
